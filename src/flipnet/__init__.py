@@ -12,6 +12,7 @@ from .network import (
     activation_erf,
     forward,
     forward_batch,
+    vjp,
     grad_scalar_wrt_input,
     spectral_norm,
     lipschitz_bound,

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .flips import angle_degrees
-from .network import forward, grad_scalar_wrt_input
+from .network import forward, forward_batch, softmax_rows, vjp
 from .paths import LineSegment, count_crossings
 
 
@@ -54,20 +54,34 @@ class AdversarialComparison:
 
 
 def _loss_and_grad(net, p, target):
-    ev = forward(net, p)
-    loss = -math.log(max(ev.softmax[target], 1e-300))
+    """Target-label cross-entropy at p and its input gradient, in one pass."""
+    z, preacts = forward_batch(net, p[None, :])
+    softmax = softmax_rows(z[0])
+    loss = -math.log(max(softmax[target], 1e-300))
     # d(-log softmax_t)/d logits = softmax - onehot; pull back to input
-    coeffs = ev.softmax.copy()
-    coeffs[target] -= 1.0
-    return loss, grad_scalar_wrt_input(net, p, coeffs)
+    softmax[target] -= 1.0
+    return loss, vjp(net, preacts, softmax)[0]
 
 
 def _project_ball(x, p, epsilon):
+    """Nearest point to p in the closed L2 ball of radius epsilon around x.
+
+    The result satisfies np.linalg.norm(result - x) <= epsilon as
+    computed in floating point: when rounding leaves the scaled point
+    just outside, the scale shrinks until it is inside.
+    """
     delta = p - x
     dn = np.linalg.norm(delta)
-    if dn > epsilon:
-        return x + delta * (epsilon / dn)
-    return p
+    if dn <= epsilon:
+        return p
+    scale = epsilon / dn
+    shrink = np.finfo(np.float64).eps
+    q = x + delta * scale
+    while np.linalg.norm(q - x) > epsilon:
+        scale *= 1.0 - shrink
+        shrink = min(2.0 * shrink, 1.0)
+        q = x + delta * scale
+    return q
 
 
 def constrained_loss_attack(net, x, target, cfg, record_iterates=False):
@@ -81,6 +95,10 @@ def constrained_loss_attack(net, x, target, cfg, record_iterates=False):
     feasibility auditing.
     """
     x = np.asarray(x, dtype=np.float64)
+    if not 0 <= target < net.class_count:
+        raise InvalidParameterError(
+            f"target {target} out of range [0, {net.class_count})"
+        )
     rng = np.random.default_rng(cfg.seed)
     starts = [x.copy()]
     for _ in range(cfg.restarts):
@@ -88,27 +106,22 @@ def constrained_loss_attack(net, x, target, cfg, record_iterates=False):
         r = cfg.epsilon * rng.random() ** (1.0 / len(x))
         starts.append(_project_ball(x, x + r * u / np.linalg.norm(u), cfg.epsilon))
 
-    best_p = x.copy()
-    best_loss, _ = _loss_and_grad(net, best_p, target)
+    best_p, best_loss = None, math.inf
     trace = [] if record_iterates else None
     for p in starts:
         if trace is not None:
-            trace.append(p.copy())
-        loss_p, _ = _loss_and_grad(net, p, target)
-        if loss_p < best_loss:
-            best_loss = loss_p
-            best_p = p.copy()
-        for _ in range(cfg.steps):
+            trace.append(p)
+        # each iterate is evaluated once; its gradient drives the next step
+        for step in range(cfg.steps + 1):
             loss, grad = _loss_and_grad(net, p, target)
+            if loss < best_loss:
+                best_loss, best_p = loss, p
+            if step == cfg.steps:
+                break
             p = _project_ball(x, p - cfg.step_size * grad, cfg.epsilon)
             if trace is not None:
-                trace.append(p.copy())
-            loss_p, _ = _loss_and_grad(net, p, target)
-            if loss_p < best_loss:
-                best_loss = loss_p
-                best_p = p.copy()
-    ev = forward(net, best_p)
-    pred = int(np.argmax(ev.logits))
+                trace.append(p)
+    pred = int(np.argmax(forward(net, best_p).logits))
     return AttackResult(
         point=best_p,
         distance=float(np.linalg.norm(best_p - x)),

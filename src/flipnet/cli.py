@@ -20,6 +20,7 @@ from .errors import (
     DegenerateGradientError,
     DependencyError,
     FlipnetError,
+    InvalidInputError,
     InvalidParameterError,
 )
 
@@ -96,24 +97,22 @@ def _save_features_csv(path, X, labels):
     write_csv(path, header, rows)
 
 
+def _load_batch(path, keep_classes):
+    with open(_require(path, "download CIFAR-10 binary batches"), "rb") as f:
+        return feat.load_cifar_batch(f.read(), keep_classes)
+
+
 def _load_split(data_dir, keep_classes):
     train_paths = sorted(glob.glob(os.path.join(data_dir, "data_batch_*.bin")))
     test_path = os.path.join(data_dir, "test_batch.bin")
     if not train_paths:
         raise DependencyError(os.path.join(data_dir, "data_batch_*.bin"),
                               "download CIFAR-10 binary batches")
-    _require(test_path, "download CIFAR-10 binary batches")
-    train_imgs, train_labels = [], []
-    for p in train_paths:
-        with open(p, "rb") as f:
-            imgs, labs = feat.load_cifar_batch(f.read(), keep_classes)
-        train_imgs.append(imgs)
-        train_labels.append(labs)
-    with open(test_path, "rb") as f:
-        test_imgs, test_labels = feat.load_cifar_batch(f.read(), keep_classes)
+    train = [_load_batch(p, keep_classes) for p in train_paths]
+    test_imgs, test_labels = _load_batch(test_path, keep_classes)
     return (
-        np.concatenate(train_imgs),
-        np.concatenate(train_labels),
+        np.concatenate([imgs for imgs, _ in train]),
+        np.concatenate([labs for _, labs in train]),
         test_imgs,
         test_labels,
     )
@@ -214,8 +213,9 @@ def _flip_one(task):
     try:
         return flips.compare(net, x, pair, opts)
     except DegenerateGradientError:
-        # Taylor baseline is undefined on a logit plateau; still report
-        # the solver result with NaN comparison metrics.
+        # Taylor baseline is undefined on a logit plateau (compare raises
+        # before solving); still report the solver result with NaN
+        # comparison metrics.
         nan = float("nan")
         flip = flips.closest_flip(net, x, pair, opts)
         return flips.ComparisonMetrics(
@@ -224,10 +224,37 @@ def _flip_one(task):
         )
 
 
+def _paired_test_coeffs(X, count, sel, data_dir, keep):
+    """Haar coefficients of test images 0..count-1, checked against X.
+
+    Feature row q must be the selected coefficients of test image q;
+    a features file from another split or selector fails here.
+    """
+    images, _ = _load_batch(os.path.join(data_dir, "test_batch.bin"), keep)
+    if len(images) < count:
+        raise InvalidInputError(
+            f"features have {count} rows but the test batch has {len(images)} images"
+        )
+    coeffs = _coeff_matrix(images[:count])
+    for q in range(count):
+        expected = coeffs[q, sel.indices]
+        if np.linalg.norm(X[q] - expected) > 1e-12 * np.linalg.norm(expected):
+            raise InvalidInputError(
+                f"feature row {q} is not test image {q} under the selector"
+            )
+    return coeffs
+
+
 def cmd_flip(args):
     net = network.load_checkpoint(_require(args.checkpoint, "flipnet train"))
     X, y = _load_features_csv(_require(args.features, "flipnet prepare"))
     count = min(args.count, X.shape[0]) if args.count else X.shape[0]
+    sel = base_coeffs = None
+    if args.selector and args.data_dir:
+        sel = feat.load_selector(args.selector)
+        keep = tuple(int(c) for c in args.classes.split(","))
+        base_coeffs = _paired_test_coeffs(X, count, sel, args.data_dir, keep)
+
     opts = flips.SolveOptions(restarts=args.restarts,
                               seed=derived_seed(args.seed, "flip"))
     pair = (0, 1)
@@ -238,21 +265,14 @@ def cmd_flip(args):
     else:
         results = [_flip_one(t) for t in tasks]
 
-    sel = base_images = None
-    if args.selector and args.data_dir:
-        sel = feat.load_selector(args.selector)
-        keep = tuple(int(c) for c in args.classes.split(","))
-        _, _, base_images, _ = _load_split(args.data_dir, keep)
-
     os.makedirs(args.out_dir, exist_ok=True)
     rows = []
     n_converged = 0
     for q, metrics in enumerate(results):
         flip = metrics.flip
         legit = "not-checked"
-        if sel is not None and flip.converged and q < len(base_images):
-            base_coeffs = feat.haar3d_forward(base_images[q])
-            ok, _ = flips.check_legitimate_image(flip.point, sel, base_coeffs)
+        if sel is not None and flip.converged:
+            ok, _ = flips.check_legitimate_image(flip.point, sel, base_coeffs[q])
             legit = "yes" if ok else "no"
         n_converged += flip.converged
         rows.append((
@@ -314,6 +334,11 @@ def cmd_regions(args):
 
 def cmd_attack(args):
     net = network.load_checkpoint(_require(args.checkpoint, "flipnet train"))
+    if net.class_count != 2:
+        raise InvalidInputError(
+            f"attack targets the other class of a binary model; "
+            f"checkpoint has {net.class_count} classes"
+        )
     X, y = _load_features_csv(_require(args.features, "flipnet prepare"))
     count = min(args.count, X.shape[0]) if args.count else X.shape[0]
     epsilons = [float(e) for e in args.epsilons.split(",")]

@@ -9,6 +9,7 @@ stays orthonormal.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import FormatError, InvalidInputError, InvalidParameterError, ShapeError
 
@@ -105,66 +106,23 @@ def haar3d_inverse(coeffs):
     return vol[:, :, :3].copy()
 
 
-def qr_pivoted(A, steps=None, want_q=False):
-    """Householder QR with greedy column pivoting.
+def qr_pivoted(A, want_q=False):
+    """QR with greedy column pivoting (LAPACK geqp3).
 
-    At step i the remaining column with the largest 2-norm is pivoted in
-    (ties within 1e-14 broken toward the lower index), giving A P = Q R
-    with non-increasing |R_ii|. Returns (pivots, R) or (pivots, R, Q).
-    `steps` truncates the factorization; the trailing columns of the
-    pivot permutation then keep their relative order.
+    At step i the remaining column with the largest 2-norm is pivoted
+    in, giving A[:, pivots] = Q R with non-increasing |R_ii|. Returns
+    (pivots, R) or (pivots, R, Q).
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
         raise ShapeError(f"expected a nonempty 2-D matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise InvalidInputError("matrix contains non-finite values")
-    m, n = A.shape
-    total = min(m, n) if steps is None else min(steps, m, n)
-    R = A.copy()
-    piv = np.arange(n)
-    reflectors = []
-    # running squared column norms, downdated after each reflection and
-    # recomputed when cancellation makes them unreliable
-    norms2 = np.sum(R * R, axis=0)
-    orig2 = norms2.copy()
-    for k in range(total):
-        stale = norms2[k:] < 1e-8 * orig2[k:]
-        if np.any(stale):
-            cols = k + np.nonzero(stale)[0]
-            norms2[cols] = np.sum(R[k:, cols] * R[k:, cols], axis=0)
-            orig2[cols] = norms2[cols]
-        norms = np.sqrt(np.maximum(norms2[k:], 0.0))
-        best = norms.max() if norms.size else 0.0
-        # lowest index among columns within 1e-14 of the max norm
-        j = int(np.argmax(norms >= best - 1e-14)) + k
-        if j != k:
-            R[:, [k, j]] = R[:, [j, k]]
-            piv[[k, j]] = piv[[j, k]]
-            norms2[[k, j]] = norms2[[j, k]]
-            orig2[[k, j]] = orig2[[j, k]]
-        x = R[k:, k]
-        norm_x = np.linalg.norm(x)
-        if norm_x == 0.0:
-            reflectors.append((k, None, 0.0))
-            continue
-        sign = -1.0 if x[0] == 0 else -np.sign(x[0])
-        u1 = x[0] - sign * norm_x
-        w = x / u1
-        w[0] = 1.0
-        tau = -sign * u1 / norm_x
-        R[k:, k:] -= np.outer(tau * w, w @ R[k:, k:])
-        R[k + 1 :, k] = 0.0
-        reflectors.append((k, w.copy(), tau))
-        if k + 1 < n:
-            norms2[k + 1 :] = np.maximum(norms2[k + 1 :] - R[k, k + 1 :] ** 2, 0.0)
-    if not want_q:
-        return piv, np.triu(R) if steps is None else R
-    Q = np.eye(m)
-    for k, w, tau in reflectors:
-        if w is not None:
-            Q[:, k:] -= np.outer(Q[:, k:] @ w, tau * w)
-    return piv, np.triu(R), Q
+    if want_q:
+        Q, R, piv = scipy.linalg.qr(A, pivoting=True, check_finite=False)
+        return piv, R, Q
+    R, piv = scipy.linalg.qr(A, mode="r", pivoting=True, check_finite=False)
+    return piv, R
 
 
 @dataclass
@@ -200,7 +158,7 @@ def select_coefficients(coeff_matrix, k):
         )
     if k == 0:
         return CoefficientSelector(np.empty(0, dtype=np.int64))
-    piv, _ = qr_pivoted(coeff_matrix, steps=k)
+    piv, _ = qr_pivoted(coeff_matrix)
     return CoefficientSelector(piv[:k])
 
 

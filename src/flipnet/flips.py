@@ -18,7 +18,7 @@ from scipy.optimize import minimize
 
 from .errors import DegenerateGradientError, InvalidParameterError
 from .features import haar3d_inverse, scatter_selector
-from .network import forward, grad_scalar_wrt_input, logits_batch
+from .network import forward_batch, softmax_rows, vjp
 
 STATUS_CONVERGED = "converged"
 STATUS_LOCAL = "local-stationary"
@@ -75,19 +75,23 @@ def _pair_coeffs(class_count, i, j):
     return c
 
 
-def _residuals(net, p, i, j):
-    """Softmax-space equality residual and dominance margin at p."""
-    ev = forward(net, p)
-    s = ev.softmax
+def _residuals(z, i, j):
+    """Softmax-space equality residual and dominance margin, from logits z."""
+    s = softmax_rows(z)
     eq = abs(s[i] - s[j])
     others = np.delete(s, [i, j])
     margin = s[i] - others.max() if others.size else math.inf
     return eq, margin
 
 
-def _make_result(net, x, p, pair):
+def _logits(net, p):
+    return forward_batch(net, p[None, :])[0][0]
+
+
+def _make_result(net, x, p, pair, z=None):
+    """FlipResult at p; z, when given, are the logits at p."""
     i, j = pair
-    eq, margin = _residuals(net, p, i, j)
+    eq, margin = _residuals(_logits(net, p) if z is None else z, i, j)
     ok = eq <= 1e-6 and margin >= -1e-8
     return FlipResult(
         point=p,
@@ -100,7 +104,7 @@ def _make_result(net, x, p, pair):
 
 
 def _logit_gap(net, p, i, j):
-    z = logits_batch(net, p[None, :])[0]
+    z = _logits(net, p)
     return z[i] - z[j]
 
 
@@ -149,8 +153,9 @@ def _tangent_polish(net, x, p, i, j, iters=30):
     c_eq = _pair_coeffs(net.class_count, i, j)
     q = np.asarray(p, dtype=np.float64).copy()
     for _ in range(iters):
-        g = _logit_gap(net, q, i, j)
-        grad = grad_scalar_wrt_input(net, q, c_eq)
+        z, preacts = forward_batch(net, q[None, :])
+        g = z[0, i] - z[0, j]
+        grad = vjp(net, preacts, c_eq)[0]
         denom = float(grad @ grad)
         if denom <= 1e-300:
             break
@@ -168,36 +173,40 @@ def _augmented_lagrangian_solve(net, x, start, pair, opts):
     """One multi-start branch: outer AL loop with L-BFGS inner solves."""
     i, j = pair
     c_eq = _pair_coeffs(net.class_count, i, j)
-    others = [k for k in range(net.class_count) if k not in (i, j)]
     lam = 0.0
     mu = opts.penalty_init
     p = np.asarray(start, dtype=np.float64).copy()
 
-    def objective(q):
-        z = logits_batch(net, q[None, :])[0]
-        h = z[i] - z[j]
-        val = float(np.dot(q - x, q - x)) + lam * h + 0.5 * mu * h * h
-        grad = 2.0 * (q - x) + (lam + mu * h) * grad_scalar_wrt_input(net, q, c_eq)
-        for k in others:
-            v = z[k] - z[i]
-            if v > 0.0:
-                val += 0.5 * mu * v * v
-                grad += mu * v * grad_scalar_wrt_input(
-                    net, q, _pair_coeffs(net.class_count, k, i)
-                )
-        return val, grad
+    def violations(z):
+        """z_k - z_i where positive, for each class k outside the pair."""
+        v = np.maximum(z - z[i], 0.0)
+        v[j] = 0.0
+        return v
 
-    prev_h = abs(_logit_gap(net, p, i, j))
+    def objective(q):
+        z, preacts = forward_batch(net, q[None, :])
+        z = z[0]
+        h = z[i] - z[j]
+        v = violations(z)
+        val = float(np.dot(q - x, q - x)) + lam * h + 0.5 * mu * h * h
+        val += 0.5 * mu * float(v @ v)
+        # one sweep for the equality term and every violated dominance
+        # term: sum_k mu * v_k * (e_k - e_i)
+        coeffs = (lam + mu * h) * c_eq + mu * v
+        coeffs[i] -= mu * v.sum()
+        return val, 2.0 * (q - x) + vjp(net, preacts, coeffs)[0]
+
+    z = _logits(net, p)
+    prev_h = abs(z[i] - z[j])
     for _ in range(opts.max_outer):
         res = minimize(
             objective, p, jac=True, method="L-BFGS-B",
             options={"maxiter": opts.inner_maxiter, "ftol": 1e-14, "gtol": 1e-12},
         )
         p = res.x
-        h = _logit_gap(net, p, i, j)
-        z = logits_batch(net, p[None, :])[0]
-        ineq_viol = max((z[k] - z[i] for k in others), default=0.0)
-        if abs(h) <= opts.outer_tol and ineq_viol <= opts.outer_tol:
+        z = _logits(net, p)
+        h = z[i] - z[j]
+        if abs(h) <= opts.outer_tol and violations(z).max() <= opts.outer_tol:
             break
         lam += mu * h
         if abs(h) > 0.25 * prev_h:
@@ -206,21 +215,22 @@ def _augmented_lagrangian_solve(net, x, start, pair, opts):
 
     # Polish: the crossing on the segment x -> p is on the boundary and
     # no farther from x than p itself.
+    eq_p, _ = _residuals(z, i, j)
     crossing = _bisect_segment(net, x, p, i, j)
     if crossing is not None:
-        eq_c, margin_c = _residuals(net, crossing, i, j)
-        eq_p, _ = _residuals(net, p, i, j)
+        z_c = _logits(net, crossing)
+        eq_c, margin_c = _residuals(z_c, i, j)
         if margin_c >= -1e-8 and eq_c <= max(eq_p, 1e-6):
-            p = crossing
+            p, z, eq_p = crossing, z_c, eq_c
     # Remove tangential drift left by the inner solver; keep the
     # polished point only when it is no farther and stays feasible.
     polished = _tangent_polish(net, x, p, i, j)
-    eq_t, margin_t = _residuals(net, polished, i, j)
-    eq_p, _ = _residuals(net, p, i, j)
+    z_t = _logits(net, polished)
+    eq_t, margin_t = _residuals(z_t, i, j)
     if (margin_t >= -1e-8 and eq_t <= max(eq_p, 1e-8)
             and np.linalg.norm(polished - x) <= np.linalg.norm(p - x) + 1e-12):
-        p = polished
-    return _make_result(net, x, p, pair)
+        p, z = polished, z_t
+    return _make_result(net, x, p, pair, z)
 
 
 def closest_flip(net, x, pair, opts=None):
@@ -238,7 +248,7 @@ def closest_flip(net, x, pair, opts=None):
         raise InvalidParameterError(f"invalid class pair {pair}")
 
     # A query already on the boundary is its own flip point.
-    eq, margin = _residuals(net, x, i, j)
+    eq, margin = _residuals(_logits(net, x), i, j)
     if eq == 0.0 and margin >= 0.0:
         return FlipResult(x.copy(), 0.0, (i, j), float(eq), float(margin), STATUS_CONVERGED)
 
@@ -313,7 +323,7 @@ def flip_along_direction(net, x, direction, pair, t_max=None, box=None):
 
     if np.sign(gap(t_hi)) == np.sign(g0) or not inside(t_hi):
         p = x + t_lo * d
-        eq, margin = _residuals(net, p, i, j)
+        eq, margin = _residuals(_logits(net, p), i, j)
         return FlipResult(
             p, float(t_lo), (i, j), float(eq), float(margin), fail_status
         )
@@ -337,9 +347,9 @@ def taylor_estimate(net, x, pair):
     linearized boundary, for g = z_i - z_j."""
     x = np.asarray(x, dtype=np.float64)
     i, j = pair
-    ev = forward(net, x)
-    g = ev.logits[i] - ev.logits[j]
-    grad = grad_scalar_wrt_input(net, x, _pair_coeffs(net.class_count, i, j))
+    z, preacts = forward_batch(net, x[None, :])
+    g = z[0, i] - z[0, j]
+    grad = vjp(net, preacts, _pair_coeffs(net.class_count, i, j))[0]
     gnorm = np.linalg.norm(grad)
     if gnorm < 1e-14:
         raise DegenerateGradientError("logit-difference gradient is (near) zero")
@@ -366,14 +376,16 @@ def angle_degrees(u, v):
 def compare(net, x, pair, opts=None):
     """Closest flip vs Taylor baseline vs directional search.
 
-    If the directional probe finds a closer boundary point than the
-    solver, the solver is re-seeded from it and the closest distance
-    updated, so directional_ratio >= 1 whenever both converged.
+    The Taylor estimate comes first, so a query on a logit plateau
+    raises DegenerateGradientError before any solve. If the directional
+    probe finds a closer boundary point than the solver, the solver is
+    re-seeded from it and the closest distance updated, so
+    directional_ratio >= 1 whenever both converged.
     """
     opts = opts or SolveOptions()
     x = np.asarray(x, dtype=np.float64)
-    flip = closest_flip(net, x, pair, opts)
     tay = taylor_estimate(net, x, pair)
+    flip = closest_flip(net, x, pair, opts)
     directional = flip_along_direction(net, x, tay.direction, pair)
 
     if directional.converged and (

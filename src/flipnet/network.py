@@ -1,14 +1,14 @@
 """Feedforward network with tunable error-function activations.
 
 Hidden layers apply erf(y / sigma) elementwise with a per-layer sigma;
-the output layer is linear and feeds softmax. Forward, reverse-mode
-input gradients, a spectral-norm power iteration and the Lipschitz
-upper bound for the logit map all live here, together with the binary
-checkpoint format.
+the output layer is linear and feeds softmax. The forward pass, the
+reverse sweep (input-gradient VJP) over its preactivations, the spectral
+norm and the Lipschitz upper bound for the logit map all live here,
+together with the binary checkpoint format.
 """
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf as _erf
@@ -93,11 +93,10 @@ class Network:
 
 @dataclass
 class Evaluation:
-    """Forward-pass record: logits, softmax, and per-layer preactivations."""
+    """Forward-pass record at one input: logits and softmax."""
 
     logits: np.ndarray
     softmax: np.ndarray
-    per_layer_preactivations: list = field(default_factory=list)
 
 
 def softmax_rows(z):
@@ -129,18 +128,37 @@ def forward_batch(net, X):
     return a, preacts
 
 
+def vjp(net, preacts, coeffs):
+    """Input gradient of coeffs . z, by one reverse sweep over a forward tape.
+
+    preacts is the list forward_batch returned for rows X. coeffs has
+    shape [class_count] (the same for every row) or [n, class_count]
+    (one vector per row). Returns [n, input_dim].
+    """
+    n = preacts[0].shape[0]
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    if coeffs.shape not in ((net.class_count,), (n, net.class_count)):
+        raise ShapeError(
+            f"coeffs must have shape ({net.class_count},) or ({n}, {net.class_count}), "
+            f"got {coeffs.shape}"
+        )
+    # g holds d(objective)/d(activation of layer li)
+    g = np.broadcast_to(coeffs, (n, net.class_count))
+    for li in range(len(net.layers) - 1, -1, -1):
+        layer = net.layers[li]
+        if li < len(net.layers) - 1:
+            g = g * activation_erf_deriv(preacts[li], layer.sigma)
+        g = g @ layer.weights
+    return g
+
+
 def forward(net, x):
     """Evaluate the network at a single input. No dropout at inference."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ShapeError(f"expected a 1-D input, got shape {x.shape}")
-    logits, preacts = forward_batch(net, x[None, :])
-    logits = logits[0]
-    return Evaluation(
-        logits=logits,
-        softmax=softmax_rows(logits),
-        per_layer_preactivations=[p[0] for p in preacts],
-    )
+    logits = forward_batch(net, x[None, :])[0][0]
+    return Evaluation(logits=logits, softmax=softmax_rows(logits))
 
 
 def logits_batch(net, X):
@@ -154,61 +172,22 @@ def grad_scalar_wrt_input(net, x, coeffs):
     coeffs = e_i - e_j gives the logit-difference gradient used by the
     Taylor baseline and the flip solver.
     """
-    x = np.asarray(x, dtype=np.float64)
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs.shape != (net.class_count,):
-        raise ShapeError(
-            f"coeffs must have shape ({net.class_count},), got {coeffs.shape}"
-        )
-    _, preacts = forward_batch(net, x[None, :])
-    # Reverse sweep: g holds d(objective)/d(activation of layer li).
-    g = coeffs.copy()
-    for li in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[li]
-        if li < len(net.layers) - 1:
-            g = g * activation_erf_deriv(preacts[li][0], layer.sigma)
-        g = g @ layer.weights
-    return g
+    return vjp(net, forward_batch(net, np.asarray(x, dtype=np.float64)[None, :])[1], coeffs)[0]
 
 
 def grad_scalar_wrt_input_batch(net, X, coeffs):
-    """Batched version of grad_scalar_wrt_input (same coeffs for all rows)."""
-    X = np.asarray(X, dtype=np.float64)
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    _, preacts = forward_batch(net, X)
-    g = np.broadcast_to(coeffs, (X.shape[0], coeffs.shape[0])).copy()
-    for li in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[li]
-        if li < len(net.layers) - 1:
-            g = g * activation_erf_deriv(preacts[li], layer.sigma)
-        g = g @ layer.weights
-    return g
+    """Batched grad_scalar_wrt_input: coeffs is [C] for all rows or [n, C]."""
+    return vjp(net, forward_batch(net, X)[1], coeffs)
 
 
-def spectral_norm(W, tol=1e-10, max_iter=10_000):
-    """Largest singular value of W by power iteration on W^T W."""
+def spectral_norm(W):
+    """Largest singular value of W (LAPACK SVD)."""
     W = np.asarray(W, dtype=np.float64)
     if not np.all(np.isfinite(W)):
         raise InvalidInputError("matrix contains non-finite values")
-    if W.size == 0 or not W.any():
+    if W.size == 0:
         return 0.0
-    n = W.shape[1]
-    # Deterministic start: fixed-seed random vector avoids accidental
-    # orthogonality to the top singular vector.
-    v = np.random.default_rng(0).standard_normal(n)
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    for _ in range(max_iter):
-        w = W.T @ (W @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        est = np.sqrt(nw)
-        if abs(est - prev) <= tol * max(est, 1e-300):
-            return est
-        prev = est
-    return prev
+    return float(np.linalg.norm(W, 2))
 
 
 def lipschitz_bound(net):

@@ -12,6 +12,8 @@ from flipnet import (
     flip_distance_histogram,
     forward,
 )
+from flipnet import attacks, network
+from flipnet.attacks import _project_ball
 from flipnet.errors import InvalidParameterError
 from flipnet.flips import FlipResult
 from conftest import make_linear_net, make_random_net
@@ -73,11 +75,65 @@ class TestConstrainedLossAttack:
                 assert len(count_crossings(net, seg)) >= 1
         assert successes > 0
 
+    def test_target_out_of_range(self, rng):
+        net = make_random_net(rng, [3, 4, 2])
+        x = rng.standard_normal(3)
+        for target in (-1, 2):
+            with pytest.raises(InvalidParameterError):
+                constrained_loss_attack(net, x, target, AttackConfig(epsilon=0.1, steps=1))
+
+    def test_one_forward_pass_per_iterate(self, rng, monkeypatch):
+        net = make_random_net(rng, [3, 6, 2])
+        x = rng.standard_normal(3)
+        calls = {"forward_batch": 0, "vjp": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        fwd = counted("forward_batch", network.forward_batch)
+        monkeypatch.setattr(network, "forward_batch", fwd)
+        monkeypatch.setattr(attacks, "forward_batch", fwd)
+        monkeypatch.setattr(attacks, "vjp", counted("vjp", attacks.vjp))
+        steps, restarts = 40, 2
+        constrained_loss_attack(net, x, 0, AttackConfig(epsilon=0.5, steps=steps, restarts=restarts))
+        iterates = (steps + 1) * (1 + restarts)
+        # one loss-and-gradient pass per iterate, plus the final prediction
+        assert calls["vjp"] == iterates
+        assert calls["forward_batch"] == iterates + 1
+
     def test_config_validation(self):
         with pytest.raises(InvalidParameterError):
             AttackConfig(epsilon=0.0)
         with pytest.raises(InvalidParameterError):
             AttackConfig(epsilon=1.0, steps=0)
+
+
+class TestProjectBall:
+    def test_result_inside_ball_exactly(self):
+        rng = np.random.default_rng(7)
+        naive_outside = reported_case = 0
+        for _ in range(4000):
+            dim = int(rng.integers(1, 300))
+            x = rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 3)
+            epsilon = 0.1 if rng.random() < 0.5 else 10.0 ** rng.uniform(-6, 3)
+            p = x + rng.standard_normal(dim) * epsilon * rng.uniform(1.0, 100.0)
+            q = _project_ball(x, p, epsilon)
+            dist = np.linalg.norm(q - x)
+            assert dist <= epsilon
+            # no farther inside than rounding at the scale of x requires
+            assert dist >= epsilon * (1 - 1e-12) - 4 * np.finfo(float).eps * np.linalg.norm(x)
+            delta = p - x
+            naive = x + delta * (epsilon / np.linalg.norm(delta))
+            naive_dist = np.linalg.norm(naive - x)
+            naive_outside += naive_dist > epsilon
+            reported_case += epsilon == 0.1 and naive_dist == 0.10000000000000003
+        # the plain rescaling rounds outside the ball on some of these
+        # draws, including the attack_distance 0.10000000000000003 seen
+        # at epsilon 0.1
+        assert naive_outside > 0 and reported_case > 0
 
 
 class TestCompareAttackVsFlip:

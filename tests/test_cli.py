@@ -3,7 +3,8 @@ import os
 import numpy as np
 import pytest
 
-from flipnet.cli import derived_seed, main, read_config, write_csv
+from flipnet import Layer, Network, SolveOptions, flips, save_checkpoint
+from flipnet.cli import _flip_one, derived_seed, main, read_config, write_csv
 from conftest import write_synth_cifar
 
 
@@ -59,6 +60,47 @@ class TestPipeline:
         header = rows[0].split(",")
         assert header == ["id", "class_pair", "distance", "taylor_distance", "beta",
                           "directional_ratio", "angle_deg", "status", "legitimate"]
+
+    def test_flip_rejects_features_of_another_split(self, data_dir, tmp_path, capsys):
+        prepare(data_dir, tmp_path)
+        train(tmp_path)
+        code = run(["flip", "--checkpoint", tmp_path / "checkpoint.bin",
+                    "--features", tmp_path / "train_features.csv",
+                    "--count", 2, "--restarts", 0, "--threads", 1,
+                    "--selector", tmp_path / "selector.txt",
+                    "--data-dir", data_dir, "--out-dir", tmp_path])
+        assert code == 1
+        assert "kind=InvalidInputError" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "flips.csv")
+
+    def test_attack_rejects_non_binary_checkpoint(self, data_dir, tmp_path, capsys):
+        prepare(data_dir, tmp_path)
+        rng = np.random.default_rng(0)
+        net = Network([Layer(rng.standard_normal((3, 20)), np.zeros(3), 1.0)])
+        save_checkpoint(net, tmp_path / "checkpoint.bin")
+        code = run(["attack", "--checkpoint", tmp_path / "checkpoint.bin",
+                    "--features", tmp_path / "test_features.csv",
+                    "--count", 1, "--out-dir", tmp_path])
+        assert code == 1
+        assert "kind=InvalidInputError" in capsys.readouterr().err
+
+    def test_plateau_query_solved_once(self, monkeypatch):
+        # the hidden unit is saturated, so the logit gap is nonzero but
+        # its gradient underflows to zero: no Taylor estimate exists
+        net = Network([Layer(np.array([[1.0, 0.0, 0.0]]), np.array([50.0]), 1.0),
+                       Layer(np.array([[1.0], [-1.0]]), np.zeros(2), 1.0)])
+        calls = []
+        closest_flip = flips.closest_flip
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return closest_flip(*args, **kwargs)
+
+        monkeypatch.setattr(flips, "closest_flip", counted)
+        metrics = _flip_one((net, np.zeros(3), (0, 1), SolveOptions(restarts=0)))
+        assert len(calls) == 1
+        assert np.isnan(metrics.beta)
+        assert metrics.flip is not None
 
     def test_path_regions_attack_recon(self, data_dir, tmp_path):
         prepare(data_dir, tmp_path)

@@ -14,9 +14,11 @@ from flipnet import (
     haar3d_forward,
     taylor_estimate,
 )
+from flipnet import flips
 from flipnet.errors import DegenerateGradientError, InvalidParameterError
 from flipnet.features import COEFF_COUNT, CoefficientSelector
 from flipnet.flips import STATUS_BOX_EXIT, STATUS_BRACKET_FAILED, angle_degrees
+from flipnet.network import logits_batch
 from conftest import grid_oracle_distance, make_linear_net, make_random_net
 
 
@@ -29,6 +31,74 @@ def hyperplane_projection(W, b, x):
 
 
 FAST = SolveOptions(restarts=0)
+
+
+def dominant_pair_boundary_oracle(net, x, pair, lo=-2.0, hi=2.0, step=1e-2):
+    """Closest point of {z_i = z_j >= every other logit} by grid search.
+
+    Bisects every grid edge where z_i - z_j changes sign, keeps the
+    crossings where no third logit is larger, then repeats twice on a
+    grid 100 times finer around the nearest one.
+    """
+    i, j = pair
+    others = [k for k in range(net.class_count) if k not in pair]
+
+    def gap(P):
+        z = logits_batch(net, P)
+        return z[:, i] - z[:, j]
+
+    def nearest_crossing(x_lo, y_lo, width, h):
+        axis = np.arange(0.0, width + h / 2, h)
+        G = np.stack(np.meshgrid(x_lo + axis, y_lo + axis, indexing="ij"), axis=-1)
+        sign = np.sign(gap(G.reshape(-1, 2))).reshape(G.shape[:2])
+        rows = sign[:-1] != sign[1:]
+        cols = sign[:, :-1] != sign[:, 1:]
+        A = np.concatenate([G[:-1][rows], G[:, :-1][cols]])
+        B = np.concatenate([G[1:][rows], G[:, 1:][cols]])
+        ga = gap(A)
+        for _ in range(60):
+            M = 0.5 * (A + B)
+            gm = gap(M)
+            same = np.sign(gm) == np.sign(ga)
+            A = np.where(same[:, None], M, A)
+            B = np.where(same[:, None], B, M)
+            ga = np.where(same, gm, ga)
+        P = 0.5 * (A + B)
+        z = logits_batch(net, P)
+        P = P[z[:, i] >= z[:, others].max(axis=1)]
+        if len(P) == 0:
+            return np.inf, None
+        d = np.linalg.norm(P - x, axis=1)
+        return d.min(), P[np.argmin(d)]
+
+    best, p = nearest_crossing(lo, lo, hi - lo, step)
+    for _ in range(2):
+        if p is None:
+            break
+        d, q = nearest_crossing(p[0] - 5 * step, p[1] - 5 * step, 10 * step, step / 100)
+        step /= 100
+        if d < best:
+            best, p = d, q
+    return best
+
+
+class PassCounter:
+    """Counts forward_batch and vjp calls made through the flips module."""
+
+    def __init__(self, monkeypatch):
+        self.forward = self.vjp = 0
+        forward_batch, vjp = flips.forward_batch, flips.vjp
+
+        def counted_forward(*args):
+            self.forward += 1
+            return forward_batch(*args)
+
+        def counted_vjp(*args):
+            self.vjp += 1
+            return vjp(*args)
+
+        monkeypatch.setattr(flips, "forward_batch", counted_forward)
+        monkeypatch.setattr(flips, "vjp", counted_vjp)
 
 
 class TestClosestFlip:
@@ -106,6 +176,51 @@ class TestClosestFlip:
         res = closest_flip(net, x, (0, 1), SolveOptions(restarts=2))
         if res.converged:
             assert res.dominance_margin >= -1e-8
+
+    def test_active_dominance_constraint_grid_oracle(self):
+        # a 3-class erf net whose nearest (1, 0) tie lies where class 2
+        # is larger, so the closest flip sits on the triple point
+        rng = np.random.default_rng(1)
+        for _ in range(11):
+            net = make_random_net(rng, [2, 6, 3], scale=1.2)
+            x = rng.uniform(-1, 1, 2)
+        pair = (1, 0)
+        oracle = dominant_pair_boundary_oracle(net, x, pair)
+        assert grid_oracle_distance(net, x, pair) < oracle - 0.1  # constraint active
+        res = closest_flip(net, x, pair, SolveOptions(restarts=4, seed=0))
+        assert res.converged
+        assert abs(res.distance - oracle) <= 2e-3
+        assert res.dominance_margin >= -1e-8
+        z = logits_batch(net, res.point[None, :])[0]
+        assert abs(z[2] - z[1]) <= 1e-6
+
+    def test_one_pass_per_objective_evaluation(self, rng, monkeypatch):
+        counter = PassCounter(monkeypatch)
+        per_eval = []
+        minimize = flips.minimize
+
+        def counting_minimize(fun, x0, **kwargs):
+            def counted(q):
+                before = (counter.forward, counter.vjp)
+                out = fun(q)
+                per_eval.append((counter.forward - before[0], counter.vjp - before[1]))
+                return out
+            return minimize(counted, x0, **kwargs)
+
+        monkeypatch.setattr(flips, "minimize", counting_minimize)
+        net = make_random_net(rng, [3, 6, 4])
+        closest_flip(net, rng.standard_normal(3), (0, 1), SolveOptions(restarts=1))
+        assert per_eval and set(per_eval) == {(1, 1)}
+
+    def test_one_pass_per_tangent_polish_iteration(self, rng, monkeypatch):
+        net = make_random_net(rng, [3, 6, 2])
+        x = rng.standard_normal(3)
+        p = x + rng.standard_normal(3)
+        counter = PassCounter(monkeypatch)
+        for iters in (1, 2, 3):
+            counter.forward = counter.vjp = 0
+            flips._tangent_polish(net, x, p, 0, 1, iters=iters)
+            assert (counter.forward, counter.vjp) == (iters, iters)
 
 
 class TestFlipAlongDirection:

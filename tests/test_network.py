@@ -8,11 +8,13 @@ from flipnet import (
     Network,
     activation_erf,
     forward,
+    forward_batch,
     grad_scalar_wrt_input,
     lipschitz_bound,
     load_checkpoint,
     save_checkpoint,
     spectral_norm,
+    vjp,
 )
 from flipnet.errors import InvalidInputError, InvalidParameterError, ShapeError
 from conftest import make_random_net
@@ -142,6 +144,40 @@ class TestGradient:
             grad_scalar_wrt_input(net, np.zeros(3), np.zeros(5))
 
 
+class TestVjp:
+    def test_per_row_coeffs_match_row_by_row(self, rng):
+        net = make_random_net(rng, [4, 7, 5, 3])
+        X = rng.standard_normal((6, 4))
+        C = rng.standard_normal((6, 3))
+        G = vjp(net, forward_batch(net, X)[1], C)
+        assert G.shape == (6, 4)
+        for r in range(6):
+            np.testing.assert_allclose(G[r], grad_scalar_wrt_input(net, X[r], C[r]),
+                                       rtol=1e-12, atol=1e-14)
+
+    def test_finite_difference(self, rng):
+        for _ in range(5):
+            net = make_random_net(rng, [3, 6, 4, 3])
+            X = rng.standard_normal((4, 3))
+            C = rng.standard_normal((4, 3))
+            G = vjp(net, forward_batch(net, X)[1], C)
+            h = 1e-5
+            for k in range(3):
+                e = np.zeros(3)
+                e[k] = h
+                zp = forward_batch(net, X + e)[0]
+                zm = forward_batch(net, X - e)[0]
+                fd = np.sum((zp - zm) * C, axis=1) / (2 * h)
+                np.testing.assert_allclose(G[:, k], fd, rtol=1e-6, atol=1e-9)
+
+    def test_wrong_coeff_length(self, rng):
+        net = make_random_net(rng, [3, 5, 2])
+        _, preacts = forward_batch(net, rng.standard_normal((4, 3)))
+        for bad in (np.zeros(3), np.zeros((4, 3)), np.zeros((3, 2))):
+            with pytest.raises(ShapeError):
+                vjp(net, preacts, bad)
+
+
 class TestSpectralNorm:
     def test_identity(self):
         assert spectral_norm(np.eye(3)) == pytest.approx(1.0, abs=1e-10)
@@ -158,6 +194,17 @@ class TestSpectralNorm:
             assert spectral_norm(A) == pytest.approx(
                 np.linalg.svd(A, compute_uv=False)[0], abs=1e-8
             )
+
+    def test_not_below_top_singular_value(self, rng):
+        # the Lipschitz bound multiplies these, so an estimate from
+        # below would make it no bound at all
+        A = rng.standard_normal((512, 200))
+        top = np.linalg.svd(A, compute_uv=False)[0]
+        assert spectral_norm(A) >= top * (1 - 1e-14)
+
+    def test_non_finite(self):
+        with pytest.raises(InvalidInputError):
+            spectral_norm(np.array([[1.0, np.inf]]))
 
 
 class TestLipschitzBound:
