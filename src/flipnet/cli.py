@@ -102,20 +102,14 @@ def _load_batch(path, keep_classes):
         return feat.load_cifar_batch(f.read(), keep_classes)
 
 
-def _load_split(data_dir, keep_classes):
-    train_paths = sorted(glob.glob(os.path.join(data_dir, "data_batch_*.bin")))
-    test_path = os.path.join(data_dir, "test_batch.bin")
-    if not train_paths:
+def _load_train_batches(data_dir, keep_classes):
+    paths = sorted(glob.glob(os.path.join(data_dir, "data_batch_*.bin")))
+    if not paths:
         raise DependencyError(os.path.join(data_dir, "data_batch_*.bin"),
                               "download CIFAR-10 binary batches")
-    train = [_load_batch(p, keep_classes) for p in train_paths]
-    test_imgs, test_labels = _load_batch(test_path, keep_classes)
-    return (
-        np.concatenate([imgs for imgs, _ in train]),
-        np.concatenate([labs for _, labs in train]),
-        test_imgs,
-        test_labels,
-    )
+    batches = [_load_batch(p, keep_classes) for p in paths]
+    return (np.concatenate([imgs for imgs, _ in batches]),
+            np.concatenate([labs for _, labs in batches]))
 
 
 def _coeff_matrix(images):
@@ -124,8 +118,9 @@ def _coeff_matrix(images):
 
 def cmd_prepare(args):
     keep = tuple(int(c) for c in args.classes.split(","))
-    train_imgs, train_labels, test_imgs, test_labels = _load_split(args.data_dir, keep)
+    train_imgs, train_labels = _load_train_batches(args.data_dir, keep)
     train_coeffs = _coeff_matrix(train_imgs)
+    test_imgs, test_labels = _load_batch(os.path.join(args.data_dir, "test_batch.bin"), keep)
     test_coeffs = _coeff_matrix(test_imgs)
     sel = feat.select_coefficients(train_coeffs, args.k)
 
@@ -180,22 +175,24 @@ def cmd_train(args):
 
 def cmd_recon(args):
     keep = tuple(int(c) for c in args.classes.split(","))
-    train_imgs, _, _, _ = _load_split(args.data_dir, keep)
+    train_imgs, _ = _load_train_batches(args.data_dir, keep)
+    if not 0 <= args.index < len(train_imgs):
+        raise InvalidParameterError(
+            f"--index {args.index} is outside the {len(train_imgs)} training images"
+        )
     image = train_imgs[args.index]
-    coeffs = feat.haar3d_forward(image)
+    # rank by the shared training selector when given, else by this
+    # image's own coefficient magnitudes
+    if args.selector:
+        order = feat.load_selector(_require(args.selector, "flipnet prepare")).indices
+    else:
+        order = np.argsort(-np.abs(feat.haar3d_forward(image)), kind="stable")
     k_list = [int(k) for k in args.k_list.split(",")]
     os.makedirs(args.out_dir, exist_ok=True)
     rows = []
     outputs = []
     for k in k_list:
-        # use the shared training selector when given, else rank this
-        # image's own coefficients by magnitude
-        if args.selector:
-            full = feat.load_selector(_require(args.selector, "flipnet prepare"))
-            sel = feat.CoefficientSelector(full.indices[:k])
-        else:
-            order = np.argsort(-np.abs(coeffs), kind="stable")
-            sel = feat.CoefficientSelector(order[:k])
+        sel = feat.CoefficientSelector(order[:k])
         recon = feat.reconstruct_from_subset(image, sel)
         err = float(np.linalg.norm(recon - image))
         rows.append((k, err))
@@ -439,7 +436,7 @@ def build_parser():
     p.add_argument("--epsilons", default="0.1,0.5,2.0")
     p.add_argument("--restarts", type=int, default=4)
 
-    return parser
+    return parser, sub.choices
 
 
 _COMMANDS = {
@@ -453,30 +450,30 @@ _COMMANDS = {
 }
 
 
-def apply_config(args, parser):
-    if not args.config:
-        return args
-    cfg = read_config(args.config)
-    for key, value in cfg.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr):
-            current = getattr(args, attr)
-            if current is None or isinstance(current, (int, float)):
-                typ = type(current) if current is not None else str
-                try:
-                    setattr(args, attr, typ(value))
-                except (TypeError, ValueError):
-                    raise InvalidParameterError(f"bad config value {key}={value}")
-            else:
-                setattr(args, attr, value)
-    return args
+def apply_config(parser, subcommands, argv, args):
+    """Parse argv again with the config file's values as the subcommand's
+    defaults, so flags given on the command line win and argparse converts
+    each value with its option's type. A key that names no option of the
+    subcommand fails."""
+    if not os.path.isfile(args.config):
+        raise InvalidParameterError(f"config file {args.config!r} does not exist")
+    cfg = {key.replace("-", "_"): value for key, value in read_config(args.config).items()}
+    options = set(vars(args)) - {"command", "config"}
+    unknown = sorted(set(cfg) - options)
+    if unknown:
+        raise InvalidParameterError(
+            f"config key(s) {', '.join(unknown)} name no option of {args.command}"
+        )
+    subcommands[args.command].set_defaults(**cfg)
+    return parser.parse_args(argv)
 
 
 def main(argv=None):
-    parser = build_parser()
+    parser, subcommands = build_parser()
     args = parser.parse_args(argv)
-    args = apply_config(args, parser)
     try:
+        if args.config:
+            args = apply_config(parser, subcommands, argv, args)
         _COMMANDS[args.command](args)
     except FlipnetError as exc:
         sys.stderr.write(f"error: kind={type(exc).__name__} message={exc}\n")

@@ -5,9 +5,9 @@ tie (equivalently the two softmax scores) and no other logit exceeds
 them. The closest flip point is found by an augmented Lagrangian on the
 logit-equality constraint with a quadratic penalty on violated
 dominance inequalities, inner solves by L-BFGS, multi-start from
-perturbed seeds, and a final bisection polish along the segment from
-the query. The first-order Taylor baseline and its comparison metrics
-live here too.
+perturbed seeds, and a final polish: the ray search towards the
+solver's point, then a tangent step. The first-order Taylor baseline
+and its comparison metrics live here too.
 """
 
 import math
@@ -57,14 +57,16 @@ class ComparisonMetrics:
     directional: FlipResult = None
 
 
+MAX_OUTER = 100
+OUTER_TOL = 1e-8  # on the logit-equality residual
+PENALTY_INIT = 10.0
+PENALTY_GROWTH = 10.0
+INNER_MAXITER = 500
+
+
 @dataclass
 class SolveOptions:
     restarts: int = 4
-    max_outer: int = 100
-    outer_tol: float = 1e-8  # on the logit-equality residual
-    penalty_init: float = 10.0
-    penalty_growth: float = 10.0
-    inner_maxiter: int = 500
     seed: int = 0
 
 
@@ -103,46 +105,6 @@ def _make_result(net, x, p, pair, z=None):
     )
 
 
-def _logit_gap(net, p, i, j):
-    z = _logits(net, p)
-    return z[i] - z[j]
-
-
-def _bisect_segment(net, x, p, i, j, tol=1e-12):
-    """Refine the boundary crossing on the segment x -> p, if it exists.
-
-    The solver iterate can sit marginally on the query side of the
-    boundary, so the segment is allowed to extend a little past p.
-    Returns the crossing point, or None when the logit gap never
-    changes sign.
-    """
-    g0 = _logit_gap(net, x, i, j)
-    if g0 == 0.0:
-        return x.copy()
-    d = p - x
-    hi = None
-    for t in (1.0, 1.0 + 1e-9, 1.0 + 1e-6, 1.0 + 1e-3, 1.1):
-        gt = _logit_gap(net, x + t * d, i, j)
-        if gt == 0.0:
-            return x + t * d
-        if np.sign(gt) != np.sign(g0):
-            hi = t
-            break
-    if hi is None:
-        return None
-    lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        gm = _logit_gap(net, x + mid * d, i, j)
-        if gm == 0.0:
-            return x + mid * d
-        if np.sign(gm) == np.sign(g0):
-            lo = mid
-        else:
-            hi = mid
-    return x + 0.5 * (lo + hi) * d
-
-
 def _tangent_polish(net, x, p, i, j, iters=30):
     """Gauss-Newton refinement of the foot of the perpendicular from x.
 
@@ -169,12 +131,12 @@ def _tangent_polish(net, x, p, i, j, iters=30):
     return q
 
 
-def _augmented_lagrangian_solve(net, x, start, pair, opts):
+def _augmented_lagrangian_solve(net, x, start, pair):
     """One multi-start branch: outer AL loop with L-BFGS inner solves."""
     i, j = pair
     c_eq = _pair_coeffs(net.class_count, i, j)
     lam = 0.0
-    mu = opts.penalty_init
+    mu = PENALTY_INIT
     p = np.asarray(start, dtype=np.float64).copy()
 
     def violations(z):
@@ -198,39 +160,41 @@ def _augmented_lagrangian_solve(net, x, start, pair, opts):
 
     z = _logits(net, p)
     prev_h = abs(z[i] - z[j])
-    for _ in range(opts.max_outer):
+    for _ in range(MAX_OUTER):
         res = minimize(
             objective, p, jac=True, method="L-BFGS-B",
-            options={"maxiter": opts.inner_maxiter, "ftol": 1e-14, "gtol": 1e-12},
+            options={"maxiter": INNER_MAXITER, "ftol": 1e-14, "gtol": 1e-12},
         )
         p = res.x
         z = _logits(net, p)
         h = z[i] - z[j]
-        if abs(h) <= opts.outer_tol and violations(z).max() <= opts.outer_tol:
+        if abs(h) <= OUTER_TOL and violations(z).max() <= OUTER_TOL:
             break
         lam += mu * h
         if abs(h) > 0.25 * prev_h:
-            mu *= opts.penalty_growth
+            mu *= PENALTY_GROWTH
         prev_h = abs(h)
 
-    # Polish: the crossing on the segment x -> p is on the boundary and
-    # no farther from x than p itself.
-    eq_p, _ = _residuals(z, i, j)
-    crossing = _bisect_segment(net, x, p, i, j)
-    if crossing is not None:
-        z_c = _logits(net, crossing)
-        eq_c, margin_c = _residuals(z_c, i, j)
-        if margin_c >= -1e-8 and eq_c <= max(eq_p, 1e-6):
-            p, z, eq_p = crossing, z_c, eq_c
+    # Polish: the first crossing on the ray x -> p is on the boundary and
+    # no farther from x than p itself. The iterate can sit marginally on
+    # the query side of the boundary, so the search runs a little past p.
+    result = _make_result(net, x, p, pair, z)
+    if result.distance > 0.0:
+        crossing = flip_along_direction(net, x, p - x, pair, t_max=1.1 * result.distance)
+        if (crossing.status != STATUS_BRACKET_FAILED
+                and crossing.dominance_margin >= -1e-8
+                and crossing.equality_residual <= max(result.equality_residual, 1e-6)):
+            result = crossing
     # Remove tangential drift left by the inner solver; keep the
-    # polished point only when it is no farther and stays feasible.
-    polished = _tangent_polish(net, x, p, i, j)
+    # polished point only when it is no farther, stays feasible and
+    # stays on the boundary to rounding.
+    polished = _tangent_polish(net, x, result.point, i, j)
     z_t = _logits(net, polished)
     eq_t, margin_t = _residuals(z_t, i, j)
-    if (margin_t >= -1e-8 and eq_t <= max(eq_p, 1e-8)
-            and np.linalg.norm(polished - x) <= np.linalg.norm(p - x) + 1e-12):
-        p, z = polished, z_t
-    return _make_result(net, x, p, pair, z)
+    if (margin_t >= -1e-8 and eq_t <= max(result.equality_residual, 1e-12)
+            and np.linalg.norm(polished - x) <= result.distance + 1e-12):
+        result = _make_result(net, x, polished, pair, z_t)
+    return result
 
 
 def closest_flip(net, x, pair, opts=None):
@@ -262,7 +226,7 @@ def closest_flip(net, x, pair, opts=None):
 
     best = None
     for seed_point in seeds:
-        result = _augmented_lagrangian_solve(net, x, seed_point, pair, opts)
+        result = _augmented_lagrangian_solve(net, x, seed_point, pair)
         if best is None:
             best = result
             continue
@@ -278,10 +242,13 @@ def closest_flip(net, x, pair, opts=None):
 def flip_along_direction(net, x, direction, pair, t_max=None, box=None):
     """First boundary crossing along a ray, by doubling bracket + bisection.
 
-    box, when given, is (lower, upper) per-coordinate bounds; leaving it
-    before a sign change yields status box-exit. Without a box the
-    search stops at t_max (default 1e6 * max(1, ||x||)) with status
-    bracket-failed.
+    The only bracket-and-bisect routine: the solver's polish and the
+    line-crossing refinement in paths call it too. Doubling starts at
+    min(1e-4, t_max) and never probes past t_max; the bracket is bisected
+    to 1e-12 * max(1, t). box, when given, is (lower, upper)
+    per-coordinate bounds; leaving it before a sign change yields status
+    box-exit. Without a box the search stops at t_max (default
+    1e6 * max(1, ||x||)) with status bracket-failed.
     """
     x = np.asarray(x, dtype=np.float64)
     direction = np.asarray(direction, dtype=np.float64)
@@ -294,7 +261,8 @@ def flip_along_direction(net, x, direction, pair, t_max=None, box=None):
         t_max = 1e6 * max(1.0, float(np.linalg.norm(x)))
 
     def gap(t):
-        return _logit_gap(net, x + t * d, i, j)
+        z = _logits(net, x + t * d)
+        return z[i] - z[j]
 
     def inside(t):
         if box is None:
@@ -306,29 +274,32 @@ def flip_along_direction(net, x, direction, pair, t_max=None, box=None):
     if g0 == 0.0:
         return _make_result(net, x, x.copy(), pair)
 
-    t_lo, t_hi = 0.0, 1e-4
-    fail_status = STATUS_BRACKET_FAILED
+    # Doubling: t_lo is the farthest probe on the query's side, t_hi the
+    # next one; neither passes t_max.
+    t_lo, t_hi = 0.0, min(1e-4, t_max)
     while True:
         if not inside(t_hi):
             fail_status = STATUS_BOX_EXIT
             break
         if np.sign(gap(t_hi)) != np.sign(g0):
+            fail_status = None
             break
         t_lo = t_hi
-        t_hi *= 2.0
-        if t_hi > t_max:
+        if t_hi >= t_max:
             fail_status = STATUS_BOX_EXIT if box is not None else STATUS_BRACKET_FAILED
-            t_hi = t_max
             break
+        t_hi = min(2.0 * t_hi, t_max)
 
-    if np.sign(gap(t_hi)) == np.sign(g0) or not inside(t_hi):
+    if fail_status is not None:
         p = x + t_lo * d
         eq, margin = _residuals(_logits(net, p), i, j)
         return FlipResult(
             p, float(t_lo), (i, j), float(eq), float(margin), fail_status
         )
 
-    while t_hi - t_lo > 1e-10 * max(1.0, t_hi):
+    # One width serves every caller: the solver's polish needs the
+    # crossing to about 1e-12 relative to anchor its tangent step.
+    while t_hi - t_lo > 1e-12 * max(1.0, t_hi):
         mid = 0.5 * (t_lo + t_hi)
         gm = gap(mid)
         if gm == 0.0:
@@ -391,7 +362,7 @@ def compare(net, x, pair, opts=None):
     if directional.converged and (
         not flip.converged or directional.distance < flip.distance
     ):
-        reseeded = _augmented_lagrangian_solve(net, x, directional.point, pair, opts)
+        reseeded = _augmented_lagrangian_solve(net, x, directional.point, pair)
         if reseeded.converged and (
             not flip.converged or reseeded.distance < flip.distance
         ):

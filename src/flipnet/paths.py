@@ -2,7 +2,8 @@
 
 The step size comes from the network's Lipschitz bound, so between
 consecutive samples the logits provably change by at most score_tol.
-Boundary crossings (argmax changes) are refined by bisection.
+Boundary crossings (argmax changes) are refined by the ray search in
+flips.
 """
 
 from dataclasses import dataclass, field
@@ -10,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
+from .flips import flip_along_direction
 from .network import forward_batch, lipschitz_bound, softmax_rows
 
 SAMPLE_CAP = 1_000_000
@@ -50,26 +52,13 @@ class PathProfile:
     capped: bool = False  # sample cap hit; spacing guarantee void
 
 
-def _refine_crossing(net, seg, a_lo, a_hi, ci, cj, width=1e-10):
-    """Bisect the logit tie z_ci = z_cj between two bracketing alphas."""
-
-    def gap(alpha):
-        z, _ = forward_batch(net, seg.at(alpha)[None, :])
-        return z[0, ci] - z[0, cj]
-
-    g_lo = gap(a_lo)
-    if g_lo == 0.0:
-        return a_lo
-    while a_hi - a_lo > width:
-        mid = 0.5 * (a_lo + a_hi)
-        gm = gap(mid)
-        if gm == 0.0:
-            return mid
-        if np.sign(gm) == np.sign(g_lo):
-            a_lo = mid
-        else:
-            a_hi = mid
-    return 0.5 * (a_lo + a_hi)
+def _refine_crossing(net, seg, a_lo, a_hi, ci, cj):
+    """Alpha of the logit tie z_ci = z_cj between two bracketing alphas."""
+    x_lo = seg.at(a_lo)
+    step = seg.at(a_hi) - x_lo
+    length = float(np.linalg.norm(step))
+    tie = flip_along_direction(net, x_lo, step, (ci, cj), t_max=length)
+    return a_lo + (a_hi - a_lo) * (tie.distance / length)
 
 
 def sample_line(net, seg, score_tol=0.01, include=()):

@@ -186,6 +186,31 @@ class TestHelpers:
         sel = (tmp_path / "selector.txt").read_text().split()
         assert len(sel) == 5
 
+    def test_flags_win_over_config(self, data_dir, tmp_path):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("k = 5\n")
+        code = run(["--config", cfg_path, "prepare", "--data-dir", data_dir,
+                    "--out-dir", tmp_path, "--k", 7])
+        assert code == 0
+        assert len((tmp_path / "selector.txt").read_text().split()) == 7
+
+    def test_unknown_config_key_fails(self, data_dir, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("k = 5\nbogus_key = 3\n")
+        code = run(["--config", cfg_path, "prepare", "--data-dir", data_dir,
+                    "--out-dir", tmp_path])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "kind=InvalidParameterError" in err
+        assert "bogus_key" in err
+        assert not (tmp_path / "selector.txt").exists()
+
+    def test_missing_config_file_fails(self, data_dir, tmp_path, capsys):
+        code = run(["--config", tmp_path / "nope.cfg", "prepare", "--data-dir", data_dir,
+                    "--out-dir", tmp_path])
+        assert code == 1
+        assert "kind=InvalidParameterError" in capsys.readouterr().err
+
     def test_csv_full_precision(self, tmp_path):
         path = tmp_path / "x.csv"
         value = 0.1234567890123456789
@@ -198,3 +223,33 @@ class TestHelpers:
         manifest = (tmp_path / "manifest_prepare.txt").read_text()
         for name in ["selector.txt", "train_features.csv", "test_features.csv"]:
             assert f"output {name} sha256=" in manifest
+
+
+class TestRecon:
+    @pytest.mark.parametrize("index", [80, 5000, -1])
+    def test_index_outside_training_images(self, data_dir, tmp_path, capsys, index):
+        code = run(["recon", "--data-dir", data_dir, "--index", index,
+                    "--k-list", "5", "--out-dir", tmp_path])
+        assert code == 1
+        assert "kind=InvalidParameterError" in capsys.readouterr().err
+        assert not (tmp_path / "recon_errors.csv").exists()
+
+    def test_reads_only_training_batches(self, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        write_synth_cifar(data, n_train=10, n_test=4, seed=3)
+        os.remove(data / "test_batch.bin")
+        assert run(["recon", "--data-dir", data, "--index", 9,
+                    "--k-list", "5,20", "--out-dir", tmp_path]) == 0
+        assert len((tmp_path / "recon_errors.csv").read_text().strip().split("\n")) == 3
+
+    def test_prepare_requires_test_batch(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        write_synth_cifar(data, n_train=10, n_test=4, seed=3)
+        os.remove(data / "test_batch.bin")
+        code = run(["prepare", "--data-dir", data, "--out-dir", tmp_path, "--k", 5])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "kind=DependencyError" in err
+        assert "test_batch.bin" in err

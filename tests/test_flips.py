@@ -137,6 +137,24 @@ class TestClosestFlip:
                 assert res.equality_residual <= 1e-6
                 assert res.dominance_margin >= -1e-8
 
+    def test_converged_points_tie_to_1e10(self):
+        # the solver's ray-search polish puts every converged point on
+        # the boundary to rounding; without it the ties are near 1e-8
+        rng = np.random.default_rng(7)
+        checked = 0
+        for dims in ([3, 6, 2], [4, 8, 2], [4, 8, 3]):
+            for _ in range(3):
+                net = make_random_net(rng, dims)
+                for _ in range(3):
+                    x = rng.standard_normal(dims[0])
+                    res = closest_flip(net, x, (0, 1), SolveOptions(restarts=2))
+                    if not res.converged:
+                        continue
+                    z = logits_batch(net, res.point[None, :])[0]
+                    assert abs(z[0] - z[1]) <= 1e-10 * max(1.0, np.max(np.abs(z)))
+                    checked += 1
+        assert checked >= 20
+
     def test_distance_matches_point(self, rng):
         net = make_linear_net(rng, 4)
         x = rng.standard_normal(4)
@@ -252,6 +270,29 @@ class TestFlipAlongDirection:
         g = w @ x + (net.layers[0].bias[0] - net.layers[0].bias[1])
         res = flip_along_direction(net, x, np.sign(g) * w, (0, 1), t_max=100.0)
         assert res.status == STATUS_BRACKET_FAILED
+
+    def test_never_probes_past_t_max(self, rng, monkeypatch):
+        # the boundary is 5e-5 away, nearer than the first doubling step
+        net = make_linear_net(rng, 3)
+        w = net.layers[0].weights[0] - net.layers[0].weights[1]
+        c = net.layers[0].bias[0] - net.layers[0].bias[1]
+        x0 = rng.standard_normal(3)
+        x = x0 - ((w @ x0 + c) / (w @ w)) * w + 5e-5 * w / np.linalg.norm(w)
+        probed = []
+        forward_batch = flips.forward_batch
+
+        def recording(net_, P):
+            probed.extend(np.linalg.norm(P - x, axis=1))
+            return forward_batch(net_, P)
+
+        monkeypatch.setattr(flips, "forward_batch", recording)
+        res = flip_along_direction(net, x, -w, (0, 1), t_max=2e-5)
+        assert res.status == STATUS_BRACKET_FAILED
+        assert res.distance <= 2e-5
+        assert max(probed) <= 2e-5 * (1 + 1e-12)
+        res = flip_along_direction(net, x, -w, (0, 1), t_max=1e-4)
+        assert res.converged
+        assert res.distance == pytest.approx(5e-5, rel=1e-8)
 
     def test_bisection_residual(self, rng):
         net = make_random_net(rng, [2, 6, 2], scale=1.0)

@@ -45,6 +45,20 @@ class TestSampleLine:
         assert len(crossings) == 1
         assert crossings[0] == pytest.approx(alpha_star, abs=1e-8)
 
+    def test_linear_crossing_on_short_segment(self, rng):
+        # a segment shorter than the ray search's first doubling step
+        net = make_linear_net(rng, 4)
+        w = net.layers[0].weights[0] - net.layers[0].weights[1]
+        c = net.layers[0].bias[0] - net.layers[0].bias[1]
+        x0 = rng.standard_normal(4)
+        on = x0 - ((w @ x0 + c) / (w @ w)) * w
+        u = w / np.linalg.norm(w)
+        x1, x2 = on + 1.5e-5 * u, on - 3.5e-5 * u
+        alpha_star = -(w @ x1 + c) / (w @ (x2 - x1))
+        crossings = count_crossings(net, LineSegment(x1, x2))
+        assert len(crossings) == 1
+        assert crossings[0] == pytest.approx(alpha_star, abs=1e-8)
+
     def test_linear_gap_monotone(self, rng):
         net = make_linear_net(rng, 3)
         seg = LineSegment(rng.standard_normal(3), rng.standard_normal(3))
