@@ -291,6 +291,9 @@ def cmd_flip(args):
 def cmd_path(args):
     net = network.load_checkpoint(_require(args.checkpoint, "flipnet train"))
     X, _ = _load_features_csv(_require(args.features, "flipnet prepare"))
+    for flag, row in (("--id1", args.id1), ("--id2", args.id2)):
+        if not 0 <= row < len(X):
+            raise InvalidParameterError(f"{flag} {row} is outside the {len(X)} feature rows")
     seg = paths.LineSegment(X[args.id1], X[args.id2], args.alpha_min, args.alpha_max)
     profile = paths.sample_line(net, seg, args.score_tol)
     os.makedirs(args.out_dir, exist_ok=True)

@@ -1,20 +1,22 @@
 """Softmax profiles along lines between points.
 
-The step size comes from the network's Lipschitz bound, so between
-consecutive samples the logits provably change by at most score_tol.
-Boundary crossings (argmax changes) are refined by the ray search in
-flips.
+Samples are spaced by a certified local bound on the logits' slope
+along the segment, so between consecutive samples the logits provably
+change by at most score_tol. Boundary crossings (argmax changes) are
+refined by the ray search in flips.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, InvalidParameterError
 from .flips import flip_along_direction
-from .network import forward_batch, lipschitz_bound, softmax_rows
+from .network import activation_erf_deriv, forward_batch, softmax_rows, spectral_norm
 
 SAMPLE_CAP = 1_000_000
+CELLS = 64  # equal alpha cells, each with its own slope bound
+CHUNK_ROWS = 2048  # rows per forward_batch call; caps the memory of a pass
 
 
 @dataclass
@@ -57,51 +59,98 @@ def _refine_crossing(net, seg, a_lo, a_hi, ci, cj):
     x_lo = seg.at(a_lo)
     step = seg.at(a_hi) - x_lo
     length = float(np.linalg.norm(step))
+    if length == 0.0:
+        # Both alphas round to the same point, so the tie is there; the
+        # argmaxes differ only through the rounding of two passes.
+        return a_lo
     tie = flip_along_direction(net, x_lo, step, (ci, cj), t_max=length)
     return a_lo + (a_hi - a_lo) * (tie.distance / length)
 
 
-def sample_line(net, seg, score_tol=0.01, include=()):
-    """Sample softmax along the segment with Lipschitz-bounded spacing.
+def _cell_slopes(net, seg, edges):
+    """Upper bounds on ||dz/dalpha||_2 on each cell [edges[c], edges[c + 1]].
 
-    Step chosen so lipschitz_bound * delta_alpha * ||x2 - x1|| <= score_tol,
-    capped at 1e6 samples (capped flag set). Crossings are refined argmax
-    changes between consecutive samples. Extra alphas in `include` are
-    inserted into the grid.
+    Layer-1 preactivations are affine in alpha, so on a cell each hidden
+    unit's erf slope is largest at the point of its preactivation range
+    nearest zero (the local bound of Hein & Andriushchenko, 2017). Later
+    hidden layers use the global erf slope 2 / (sigma sqrt(pi)); the last
+    layer takes the smaller of its spectral-norm and |W| bounds. No cell
+    bound exceeds lipschitz_bound(net) * ||x2 - x1||.
     """
-    span = seg.alpha_max - seg.alpha_min
-    bound = lipschitz_bound(net)
-    capped = False
-    if bound * seg.length == 0.0:
-        n = 2
-    else:
-        n = int(np.ceil(span * bound * seg.length / score_tol)) + 1
-        n = max(n, 2)
-        if n > SAMPLE_CAP:
-            n = SAMPLE_CAP
-            capped = True
-    alphas = np.linspace(seg.alpha_min, seg.alpha_max, n)
+    first = net.layers[0]
+    slope = first.weights @ (seg.x2 - seg.x1)
+    if len(net.layers) == 1:
+        return np.full(len(edges) - 1, np.linalg.norm(slope))
+    offset = first.weights @ seg.x1 + first.bias
+    lo = offset + edges[:-1, None] * slope
+    hi = offset + edges[1:, None] * slope
+    nearest = np.where(np.signbit(lo) != np.signbit(hi), 0.0,
+                       np.minimum(np.abs(lo), np.abs(hi)))
+    # v bounds |d(activation)/d alpha| per unit, norm bounds its 2-norm
+    v = activation_erf_deriv(nearest, first.sigma) * np.abs(slope)
+    norm = np.linalg.norm(v, axis=1)
+    for layer in net.layers[1:-1]:
+        gain = activation_erf_deriv(0.0, layer.sigma)
+        v = gain * (v @ np.abs(layer.weights).T)
+        norm = gain * spectral_norm(layer.weights) * norm
+    last = net.layers[-1].weights
+    return np.minimum(spectral_norm(last) * norm, np.linalg.norm(v @ np.abs(last).T, axis=1))
+
+
+def _sample_alphas(net, seg, score_tol):
+    """Sample alphas whose steps each integrate the slope bound to <= score_tol.
+
+    Returns (alphas, capped). Past SAMPLE_CAP samples the grid is
+    uniform and capped is True.
+    """
+    edges = np.linspace(seg.alpha_min, seg.alpha_max, CELLS + 1)
+    F = np.concatenate([[0.0], np.cumsum(_cell_slopes(net, seg, edges) * np.diff(edges))])
+    count = max(np.ceil(F[-1] / score_tol) + 1, 2)
+    if count > SAMPLE_CAP:
+        return np.linspace(seg.alpha_min, seg.alpha_max, SAMPLE_CAP), True
+    alphas = np.interp(np.linspace(0.0, F[-1], int(count)), F, edges)
+    # F is flat where a cell's bound is zero, and there interp may pick
+    # any alpha of the flat stretch for the first or last level
+    alphas[[0, -1]] = edges[[0, -1]]
+    return alphas, False
+
+
+def sample_line(net, seg, score_tol=0.01, include=()):
+    """Sample softmax along the segment with certified spacing.
+
+    Guarantee: unless capped, the logits of consecutive samples differ by
+    at most score_tol in 2-norm. Alpha is split into CELLS equal cells,
+    each with an upper bound on the logits' slope (_cell_slopes);
+    samples sit at equal steps of the bound's integral, so steps are
+    short where the network can change fast and long elsewhere, and the
+    alphas are not uniform. Past SAMPLE_CAP samples the grid is uniform
+    and the profile is marked capped. Extra alphas in `include` are
+    inserted into the grid. Samples are evaluated CHUNK_ROWS at a time.
+    Crossings are refined argmax changes between consecutive samples.
+    """
+    if not 0.0 < score_tol < np.inf:
+        raise InvalidParameterError(f"score_tol must be positive and finite, got {score_tol}")
+    alphas, capped = _sample_alphas(net, seg, score_tol)
     extra = [a for a in include if seg.alpha_min <= a <= seg.alpha_max]
     if extra:
         alphas = np.unique(np.concatenate([alphas, np.asarray(extra, dtype=np.float64)]))
-    points = (1.0 - alphas)[:, None] * seg.x1 + alphas[:, None] * seg.x2
-    logits, _ = forward_batch(net, points)
+    logits = np.empty((len(alphas), net.class_count))
+    for start in range(0, len(alphas), CHUNK_ROWS):
+        a = alphas[start:start + CHUNK_ROWS]
+        points = (1.0 - a)[:, None] * seg.x1 + a[:, None] * seg.x2
+        logits[start:start + len(a)] = forward_batch(net, points)[0]
     # Grid rows at the canonical endpoints are recomputed one-by-one so
     # they match single-point forward() evaluations bit-for-bit (batched
     # BLAS may round differently).
-    for a in (0.0, 1.0):
-        hits = np.nonzero(alphas == a)[0]
-        for t in hits:
-            logits[t], _ = forward_batch(net, points[t][None, :])
+    for t in np.nonzero((alphas == 0.0) | (alphas == 1.0))[0]:
+        logits[t] = forward_batch(net, seg.at(alphas[t])[None, :])[0][0]
     scores = softmax_rows(logits)
 
-    crossings = []
     tops = np.argmax(logits, axis=1)
-    for t in range(len(alphas) - 1):
-        if tops[t] != tops[t + 1]:
-            crossings.append(
-                _refine_crossing(net, seg, alphas[t], alphas[t + 1], tops[t], tops[t + 1])
-            )
+    crossings = [
+        _refine_crossing(net, seg, alphas[t], alphas[t + 1], tops[t], tops[t + 1])
+        for t in np.nonzero(tops[1:] != tops[:-1])[0]
+    ]
     return PathProfile(
         alphas=alphas,
         softmax_scores=scores,

@@ -225,6 +225,30 @@ class TestHelpers:
             assert f"output {name} sha256=" in manifest
 
 
+@pytest.fixture(scope="module")
+def trained_dir(data_dir, tmp_path_factory):
+    d = tmp_path_factory.mktemp("trained")
+    prepare(data_dir, d)
+    train(d)
+    return d
+
+
+class TestPath:
+    @pytest.mark.parametrize("flags", [
+        ["--id1", 0, "--id2", 5000],
+        ["--id1", -1, "--id2", 1],
+        ["--id1", 0, "--id2", 1, "--score-tol", 0],
+        ["--id1", 0, "--id2", 1, "--score-tol", -1],
+    ])
+    def test_rejects_bad_rows_and_tolerances(self, trained_dir, tmp_path, capsys, flags):
+        code = run(["path", "--checkpoint", trained_dir / "checkpoint.bin",
+                    "--features", trained_dir / "test_features.csv",
+                    "--out-dir", tmp_path, *flags])
+        assert code == 1
+        assert "kind=InvalidParameterError" in capsys.readouterr().err
+        assert not (tmp_path / "path_profile.csv").exists()
+
+
 class TestRecon:
     @pytest.mark.parametrize("index", [80, 5000, -1])
     def test_index_outside_training_images(self, data_dir, tmp_path, capsys, index):

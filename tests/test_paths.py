@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,9 @@ from flipnet import (
     profile_to_flip,
     sample_line,
 )
-from flipnet.errors import InvalidInputError
-from flipnet.network import logits_batch
+from flipnet.errors import InvalidInputError, InvalidParameterError
+from flipnet.network import lipschitz_bound, logits_batch
+from flipnet.paths import _cell_slopes, _refine_crossing
 from conftest import dense_crossing_count, make_bump_net, make_linear_net, make_random_net
 
 
@@ -91,6 +94,61 @@ class TestSampleLine:
         assert profile.capped
         assert len(profile.alphas) == 1_000_000
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_score_tol_not_positive_finite(self, rng, tol):
+        net = make_random_net(rng, [2, 5, 2])
+        with pytest.raises(InvalidParameterError):
+            sample_line(net, LineSegment(np.zeros(2), np.ones(2)), score_tol=tol)
+
+    def test_deeper_net_step_guarantee(self, rng):
+        tol = 0.01
+        for _ in range(4):
+            net = make_random_net(rng, [2, 6, 6, 2], scale=1.5)
+            for _ in range(5):
+                x1, x2 = rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2)
+                profile = sample_line(net, LineSegment(x1, x2), score_tol=tol)
+                assert not profile.capped
+                dz = np.linalg.norm(np.diff(profile.logits, axis=0), axis=1)
+                assert np.all(dz <= tol * (1 + 1e-9))
+                assert len(profile.crossings) == dense_crossing_count(net, x1, x2)
+
+    @pytest.mark.parametrize("dims", [[3, 2], [3, 6, 2], [3, 6, 5, 2], [3, 6, 5, 4, 2]])
+    def test_cell_bounds_cover_finite_differences(self, rng, dims):
+        for _ in range(5):
+            net = make_random_net(rng, dims, scale=1.5)
+            seg = LineSegment(rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 3), -0.5, 1.5)
+            edges = np.linspace(seg.alpha_min, seg.alpha_max, 17)
+            bounds = _cell_slopes(net, seg, edges)
+            assert np.all(bounds <= lipschitz_bound(net) * seg.length * (1 + 1e-12))
+            for lo, hi, bound in zip(edges[:-1], edges[1:], bounds):
+                a = np.linspace(lo, hi, 201)
+                z = logits_batch(net, (1.0 - a)[:, None] * seg.x1 + a[:, None] * seg.x2)
+                dz = np.linalg.norm(np.diff(z, axis=0), axis=1)
+                assert np.all(dz <= bound * np.diff(a) * (1 + 1e-9) + 1e-12)
+
+    def test_never_more_samples_than_global_spacing(self, rng):
+        for _ in range(20):
+            net = make_random_net(rng, [3, 6, 5, 2], scale=1.5)
+            seg = LineSegment(rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 3), 0.0, 2.0)
+            include = (1.0, 0.3 + rng.uniform())
+            profile = sample_line(net, seg, include=include)
+            span = seg.alpha_max - seg.alpha_min
+            n_global = max(int(np.ceil(span * lipschitz_bound(net) * seg.length / 0.01)) + 1, 2)
+            assert len(profile.alphas) <= n_global + len(include)
+
+    def test_peak_memory_bounded_on_long_segment(self):
+        rng = np.random.default_rng(8)
+        net = make_random_net(rng, [200, 512, 2], scale=0.1, sigma_range=(1.0, 1.0))
+        seg = LineSegment(rng.standard_normal(200), rng.standard_normal(200))
+        tracemalloc.start()
+        try:
+            profile = sample_line(net, seg, score_tol=4e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(profile.alphas) >= 100_000 and not profile.capped
+        assert peak < 64 * 2**20
+
 
 class TestCountCrossings:
     def test_same_class_endpoints_linear(self, rng):
@@ -122,6 +180,13 @@ class TestCountCrossings:
                 continue
             found = count_crossings(net, LineSegment(x1, x2))
             assert len(found) == dense_crossing_count(net, x1, x2)
+
+    def test_zero_length_bracket_not_refined(self, rng):
+        # two alphas that round to the same point: no ray to search
+        net = make_linear_net(rng, 3)
+        seg = LineSegment(rng.uniform(1, 2, 3), rng.uniform(1, 2, 3))
+        assert np.array_equal(seg.at(0.0), seg.at(1e-300))
+        assert _refine_crossing(net, seg, 0.0, 1e-300, 0, 1) == 0.0
 
     def test_refined_crossing_residual(self, rng):
         net = make_random_net(rng, [2, 6, 2], scale=1.5)
