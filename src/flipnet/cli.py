@@ -1,8 +1,8 @@
 """Command-line pipeline: prepare, train, recon, flip, path, regions, attack.
 
-Every command writes CSV outputs plus a run manifest (seed, config
+Every command writes CSV outputs plus a run manifest (its options, their
 hash, output digests) so reruns with the same seed are byte-identical
-and verifiable.
+and verifiable. build_parser is the one place that knows the options.
 """
 
 import argparse
@@ -39,6 +39,16 @@ def write_csv(path, header, rows):
             f.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def int_list(text):
+    """Comma-separated ints, e.g. `0,8`; the empty string is the empty list."""
+    return [int(v) for v in text.split(",")] if text else []
+
+
+def float_list(text):
+    """Comma-separated floats, e.g. `0.1,0.5,2.0`."""
+    return [float(v) for v in text.split(",")]
+
+
 def derived_seed(global_seed, stage):
     """Per-stage seed fan-out by hashing, so stages rerun independently."""
     digest = hashlib.sha256(f"{global_seed}:{stage}".encode()).digest()
@@ -53,15 +63,25 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def write_manifest(out_dir, command, seed, config_items, outputs):
-    lines = [f"command = {command}", f"seed = {seed}"]
-    cfg_text = "\n".join(f"{k} = {v}" for k, v in sorted(config_items.items()))
-    lines.append(f"config_hash = {hashlib.sha256(cfg_text.encode()).hexdigest()}")
-    for k, v in sorted(config_items.items()):
-        lines.append(f"config.{k} = {v}")
-    for path in outputs:
-        lines.append(f"output {os.path.basename(path)} sha256={_sha256(path)}")
-    manifest = os.path.join(out_dir, f"manifest_{command}.txt")
+# Options that change no output: where outputs go and how many processes
+# compute them. Every other option of a command is in its config hash.
+UNHASHED_OPTIONS = ("command", "config", "out_dir", "threads")
+
+
+def write_manifest(args, outputs, results=None):
+    """manifest_<command>.txt in args.out_dir: the config (every parsed
+    option outside UNHASHED_OPTIONS, lists comma-separated as on the
+    command line) and its hash, `result.*` lines that the hash leaves
+    out, and each output's digest."""
+    config = {k: ",".join(map(str, v)) if isinstance(v, list) else str(v)
+              for k, v in sorted(vars(args).items()) if k not in UNHASHED_OPTIONS}
+    cfg_text = "\n".join(f"{k} = {v}" for k, v in config.items())
+    lines = [f"command = {args.command}",
+             f"config_hash = {hashlib.sha256(cfg_text.encode()).hexdigest()}"]
+    lines += [f"config.{k} = {v}" for k, v in config.items()]
+    lines += [f"result.{k} = {v}" for k, v in sorted((results or {}).items())]
+    lines += [f"output {os.path.basename(p)} sha256={_sha256(p)}" for p in outputs]
+    manifest = os.path.join(args.out_dir, f"manifest_{args.command}.txt")
     with open(manifest, "w") as f:
         f.write("\n".join(lines) + "\n")
     return manifest
@@ -117,10 +137,10 @@ def _coeff_matrix(images):
 
 
 def cmd_prepare(args):
-    keep = tuple(int(c) for c in args.classes.split(","))
-    train_imgs, train_labels = _load_train_batches(args.data_dir, keep)
+    train_imgs, train_labels = _load_train_batches(args.data_dir, args.classes)
     train_coeffs = _coeff_matrix(train_imgs)
-    test_imgs, test_labels = _load_batch(os.path.join(args.data_dir, "test_batch.bin"), keep)
+    test_imgs, test_labels = _load_batch(os.path.join(args.data_dir, "test_batch.bin"),
+                                         args.classes)
     test_coeffs = _coeff_matrix(test_imgs)
     sel = feat.select_coefficients(train_coeffs, args.k)
 
@@ -131,11 +151,7 @@ def cmd_prepare(args):
     test_path = os.path.join(args.out_dir, "test_features.csv")
     _save_features_csv(train_path, train_coeffs[:, sel.indices], train_labels)
     _save_features_csv(test_path, test_coeffs[:, sel.indices], test_labels)
-    write_manifest(
-        args.out_dir, "prepare", args.seed,
-        {"k": args.k, "classes": args.classes, "data_dir": args.data_dir},
-        [sel_path, train_path, test_path],
-    )
+    write_manifest(args, [sel_path, train_path, test_path])
 
 
 def cmd_train(args):
@@ -143,8 +159,7 @@ def cmd_train(args):
     test_X = test_y = None
     if args.test_features:
         test_X, test_y = _load_features_csv(args.test_features)
-    hidden = [int(h) for h in args.hidden.split(",")] if args.hidden else []
-    sizes = [X.shape[1]] + hidden + [int(y.max()) + 1]
+    sizes = [X.shape[1]] + args.hidden + [int(y.max()) + 1]
     seed = derived_seed(args.seed, "train")
     net = training.init_network(sizes, seed=seed)
     cfg = training.TrainConfig(
@@ -165,17 +180,11 @@ def cmd_train(args):
     acc_path = os.path.join(args.out_dir, "accuracy.csv")
     write_csv(acc_path, ["train_accuracy", "test_accuracy"],
               [(report.train_accuracy, report.test_accuracy)])
-    write_manifest(
-        args.out_dir, "train", args.seed,
-        {"hidden": args.hidden, "epochs": args.epochs, "lr": args.learning_rate,
-         "dropout": args.dropout, "batch_size": args.batch_size},
-        [ckpt, report_path, acc_path],
-    )
+    write_manifest(args, [ckpt, report_path, acc_path])
 
 
 def cmd_recon(args):
-    keep = tuple(int(c) for c in args.classes.split(","))
-    train_imgs, _ = _load_train_batches(args.data_dir, keep)
+    train_imgs, _ = _load_train_batches(args.data_dir, args.classes)
     if not 0 <= args.index < len(train_imgs):
         raise InvalidParameterError(
             f"--index {args.index} is outside the {len(train_imgs)} training images"
@@ -187,11 +196,10 @@ def cmd_recon(args):
         order = feat.load_selector(_require(args.selector, "flipnet prepare")).indices
     else:
         order = np.argsort(-np.abs(feat.haar3d_forward(image)), kind="stable")
-    k_list = [int(k) for k in args.k_list.split(",")]
     os.makedirs(args.out_dir, exist_ok=True)
     rows = []
     outputs = []
-    for k in k_list:
+    for k in args.k_list:
         sel = feat.CoefficientSelector(order[:k])
         recon = feat.reconstruct_from_subset(image, sel)
         err = float(np.linalg.norm(recon - image))
@@ -201,8 +209,7 @@ def cmd_recon(args):
         outputs.append(pix_path)
     err_path = os.path.join(args.out_dir, "recon_errors.csv")
     write_csv(err_path, ["k", "l2_error"], rows)
-    write_manifest(args.out_dir, "recon", args.seed,
-                   {"index": args.index, "k_list": args.k_list}, [err_path] + outputs)
+    write_manifest(args, [err_path] + outputs)
 
 
 def _flip_one(task):
@@ -219,6 +226,13 @@ def _flip_one(task):
             beta=nan, directional_ratio=nan, angle_deg=nan, flip=flip,
             taylor=flips.TaylorEstimate(distance=nan, direction=None),
         )
+
+
+def _query_count(count, rows):
+    """The first `count` rows are queried, all of them when count is 0."""
+    if count < 0:
+        raise InvalidParameterError(f"--count must be >= 0 (0 = all rows), got {count}")
+    return min(count, rows) if count else rows
 
 
 def _paired_test_coeffs(X, count, sel, data_dir, keep):
@@ -245,12 +259,11 @@ def _paired_test_coeffs(X, count, sel, data_dir, keep):
 def cmd_flip(args):
     net = network.load_checkpoint(_require(args.checkpoint, "flipnet train"))
     X, y = _load_features_csv(_require(args.features, "flipnet prepare"))
-    count = min(args.count, X.shape[0]) if args.count else X.shape[0]
+    count = _query_count(args.count, X.shape[0])
     sel = base_coeffs = None
     if args.selector and args.data_dir:
         sel = feat.load_selector(args.selector)
-        keep = tuple(int(c) for c in args.classes.split(","))
-        base_coeffs = _paired_test_coeffs(X, count, sel, args.data_dir, keep)
+        base_coeffs = _paired_test_coeffs(X, count, sel, args.data_dir, args.classes)
 
     opts = flips.SolveOptions(restarts=args.restarts,
                               seed=derived_seed(args.seed, "flip"))
@@ -282,10 +295,7 @@ def cmd_flip(args):
               ["id", "class_pair", "distance", "taylor_distance", "beta",
                "directional_ratio", "angle_deg", "status", "legitimate"],
               rows)
-    write_manifest(args.out_dir, "flip", args.seed,
-                   {"count": count, "restarts": args.restarts,
-                    "converged_fraction": n_converged / max(count, 1)},
-                   [out_path])
+    write_manifest(args, [out_path], {"converged_fraction": n_converged / max(count, 1)})
 
 
 def cmd_path(args):
@@ -303,9 +313,7 @@ def cmd_path(args):
               [(a, *row) for a, row in zip(profile.alphas, profile.softmax_scores)])
     cross_path = os.path.join(args.out_dir, "path_crossings.csv")
     write_csv(cross_path, ["alpha"], [(c,) for c in profile.crossings])
-    write_manifest(args.out_dir, "path", args.seed,
-                   {"id1": args.id1, "id2": args.id2, "score_tol": args.score_tol},
-                   [out_path, cross_path])
+    write_manifest(args, [out_path, cross_path])
 
 
 def cmd_regions(args):
@@ -327,9 +335,7 @@ def cmd_regions(args):
               [(report.n_points, report.fraction_direct, report.component_count,
                 report.min_degree_node[0], report.min_degree_node[1],
                 int(report.all_pairs_connected))])
-    write_manifest(args.out_dir, "regions", args.seed,
-                   {"class_id": args.class_id, "max_points": args.max_points},
-                   [edge_path, summary_path])
+    write_manifest(args, [edge_path, summary_path])
 
 
 def cmd_attack(args):
@@ -340,8 +346,7 @@ def cmd_attack(args):
             f"checkpoint has {net.class_count} classes"
         )
     X, y = _load_features_csv(_require(args.features, "flipnet prepare"))
-    count = min(args.count, X.shape[0]) if args.count else X.shape[0]
-    epsilons = [float(e) for e in args.epsilons.split(",")]
+    count = _query_count(args.count, X.shape[0])
     opts = flips.SolveOptions(restarts=args.restarts,
                               seed=derived_seed(args.seed, "attack"))
     os.makedirs(args.out_dir, exist_ok=True)
@@ -351,7 +356,7 @@ def cmd_attack(args):
         pred = int(np.argmax(network.forward(net, x).logits))
         target = 1 - pred  # binary pipeline
         flip = flips.closest_flip(net, x, (pred, target), opts)
-        for eps in epsilons:
+        for eps in args.epsilons:
             cfg = attacks.AttackConfig(epsilon=eps, seed=derived_seed(args.seed, f"attack:{q}"))
             res = attacks.constrained_loss_attack(net, x, target, cfg)
             comp = attacks.compare_attack_vs_flip(net, x, res, flip)
@@ -363,8 +368,7 @@ def cmd_attack(args):
               ["id", "epsilon", "succeeded", "attack_distance", "flip_distance",
                "first_crossing_distance", "angle_deg"],
               rows)
-    write_manifest(args.out_dir, "attack", args.seed,
-                   {"count": count, "epsilons": args.epsilons}, [out_path])
+    write_manifest(args, [out_path])
 
 
 def build_parser():
@@ -375,68 +379,58 @@ def build_parser():
     parser.add_argument("--config", help="flat key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, help, *required):
+        """Subparser with the shared options and the required input flags."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
         p.add_argument("--out-dir", default="out")
+        for flag in required:
+            p.add_argument(flag, required=True)
+        return p
 
-    p = sub.add_parser("prepare", help="wavelet features + coefficient selection")
-    common(p)
-    p.add_argument("--data-dir", required=True)
+    p = command("prepare", "wavelet features + coefficient selection", "--data-dir")
     p.add_argument("--k", type=int, default=200)
-    p.add_argument("--classes", default="0,8", help="CIFAR label ids, plane=0 ship=8")
+    p.add_argument("--classes", type=int_list, default="0,8",
+                   help="CIFAR label ids, plane=0 ship=8")
 
-    p = sub.add_parser("train", help="train the classifier")
-    common(p)
-    p.add_argument("--features", required=True)
+    p = command("train", "train the classifier", "--features")
     p.add_argument("--test-features")
-    p.add_argument("--hidden", default="40", help="comma-separated hidden sizes")
+    p.add_argument("--hidden", type=int_list, default="40",
+                   help='comma-separated hidden sizes; "" for none')
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--learning-rate", type=float, default=0.001)
     p.add_argument("--dropout", type=float, default=0.5)
     p.add_argument("--batch-size", type=int, default=64)
 
-    p = sub.add_parser("recon", help="reconstructions from coefficient subsets")
-    common(p)
-    p.add_argument("--data-dir", required=True)
-    p.add_argument("--classes", default="0,8")
+    p = command("recon", "reconstructions from coefficient subsets", "--data-dir")
+    p.add_argument("--classes", type=int_list, default="0,8")
     p.add_argument("--index", type=int, default=0)
-    p.add_argument("--k-list", default="200,500,1000,2200")
+    p.add_argument("--k-list", type=int_list, default="200,500,1000,2200")
     p.add_argument("--selector")
 
-    p = sub.add_parser("flip", help="closest flip points for a feature set")
-    common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--features", required=True)
+    p = command("flip", "closest flip points for a feature set", "--checkpoint", "--features")
     p.add_argument("--count", type=int, default=0, help="0 = all rows")
     p.add_argument("--restarts", type=int, default=4)
     p.add_argument("--selector", help="enables the legitimate-image check")
     p.add_argument("--data-dir", help="images for the legitimate-image check")
-    p.add_argument("--classes", default="0,8")
+    p.add_argument("--classes", type=int_list, default="0,8")
 
-    p = sub.add_parser("path", help="softmax profile along a segment")
-    common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--features", required=True)
+    p = command("path", "softmax profile along a segment", "--checkpoint", "--features")
     p.add_argument("--id1", type=int, required=True)
     p.add_argument("--id2", type=int, required=True)
     p.add_argument("--alpha-min", type=float, default=0.0)
     p.add_argument("--alpha-max", type=float, default=1.0)
     p.add_argument("--score-tol", type=float, default=0.01)
 
-    p = sub.add_parser("regions", help="within-class adjacency and connectivity")
-    common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--features", required=True)
+    p = command("regions", "within-class adjacency and connectivity",
+                "--checkpoint", "--features")
     p.add_argument("--class-id", type=int, default=1)
     p.add_argument("--max-points", type=int, default=60)
 
-    p = sub.add_parser("attack", help="constrained-loss attack vs flip points")
-    common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--features", required=True)
-    p.add_argument("--count", type=int, default=20)
-    p.add_argument("--epsilons", default="0.1,0.5,2.0")
+    p = command("attack", "constrained-loss attack vs flip points", "--checkpoint", "--features")
+    p.add_argument("--count", type=int, default=20, help="0 = all rows")
+    p.add_argument("--epsilons", type=float_list, default="0.1,0.5,2.0")
     p.add_argument("--restarts", type=int, default=4)
 
     return parser, sub.choices

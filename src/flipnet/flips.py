@@ -34,7 +34,6 @@ class FlipResult:
     equality_residual: float  # |softmax_i - softmax_j| at the point
     dominance_margin: float  # softmax_i - max of the other softmax scores
     status: str
-    legitimate_image: bool | None = None  # None = not checked
 
     @property
     def converged(self):
@@ -68,6 +67,10 @@ INNER_MAXITER = 500
 class SolveOptions:
     restarts: int = 4
     seed: int = 0
+
+    def __post_init__(self):
+        if self.restarts < 0:
+            raise InvalidParameterError(f"restarts must be >= 0, got {self.restarts}")
 
 
 def _pair_coeffs(class_count, i, j):

@@ -17,6 +17,7 @@ from .network import activation_erf_deriv, forward_batch, softmax_rows, spectral
 SAMPLE_CAP = 1_000_000
 CELLS = 64  # equal alpha cells, each with its own slope bound
 CHUNK_ROWS = 2048  # rows per forward_batch call; caps the memory of a pass
+ALPHA_RESOLUTION = 1e-12  # relative; an included alpha replaces grid alphas this close
 
 
 @dataclass
@@ -115,6 +116,18 @@ def _sample_alphas(net, seg, score_tol):
     return alphas, False
 
 
+def _insert_alpha(alphas, alpha):
+    """Sorted alphas with alpha added, in place of those within ALPHA_RESOLUTION.
+
+    An included alpha is often a flip point, so a grid alpha a few ulps
+    from it sits on the same logit tie; the passes over the two round
+    the tie to different argmaxes, which would read as an extra pair of
+    crossings.
+    """
+    kept = alphas[np.abs(alphas - alpha) > ALPHA_RESOLUTION * max(1.0, abs(alpha))]
+    return np.insert(kept, np.searchsorted(kept, alpha), alpha)
+
+
 def sample_line(net, seg, score_tol=0.01, include=()):
     """Sample softmax along the segment with certified spacing.
 
@@ -125,15 +138,16 @@ def sample_line(net, seg, score_tol=0.01, include=()):
     short where the network can change fast and long elsewhere, and the
     alphas are not uniform. Past SAMPLE_CAP samples the grid is uniform
     and the profile is marked capped. Extra alphas in `include` are
-    inserted into the grid. Samples are evaluated CHUNK_ROWS at a time.
+    inserted into the grid, in place of any grid alpha within
+    ALPHA_RESOLUTION of them. Samples are evaluated CHUNK_ROWS at a time.
     Crossings are refined argmax changes between consecutive samples.
     """
     if not 0.0 < score_tol < np.inf:
         raise InvalidParameterError(f"score_tol must be positive and finite, got {score_tol}")
     alphas, capped = _sample_alphas(net, seg, score_tol)
-    extra = [a for a in include if seg.alpha_min <= a <= seg.alpha_max]
-    if extra:
-        alphas = np.unique(np.concatenate([alphas, np.asarray(extra, dtype=np.float64)]))
+    for a in include:
+        if seg.alpha_min <= a <= seg.alpha_max:
+            alphas = _insert_alpha(alphas, a)
     logits = np.empty((len(alphas), net.class_count))
     for start in range(0, len(alphas), CHUNK_ROWS):
         a = alphas[start:start + CHUNK_ROWS]

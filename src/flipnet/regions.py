@@ -9,8 +9,9 @@ decision regions.
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import coo_matrix, csgraph
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, InvalidParameterError
 from .network import forward_batch
 from .paths import LineSegment, count_crossings
 
@@ -55,26 +56,12 @@ def build_adjacency(net, points, class_id, score_tol=0.01):
 
 
 def connected_components(graph):
-    """Disjoint-set components. Returns (count, sizes, labels)."""
-    parent = list(range(graph.n_nodes))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u, v in graph.edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-
-    labels = [find(i) for i in range(graph.n_nodes)]
-    roots = sorted(set(labels))
-    remap = {r: k for k, r in enumerate(roots)}
-    labels = [remap[l] for l in labels]
-    sizes = [labels.count(k) for k in range(len(roots))]
-    return len(roots), sizes, labels
+    """Components, labelled in order of their lowest node. Returns (count, sizes, labels)."""
+    n = graph.n_nodes
+    u, v = np.array(graph.edges, dtype=np.int64).reshape(-1, 2).T
+    adjacency = coo_matrix((np.ones(len(u)), (u, v)), shape=(n, n))
+    count, labels = csgraph.connected_components(adjacency, directed=False)
+    return count, np.bincount(labels, minlength=count).tolist(), labels.tolist()
 
 
 def region_report(net, features, labels, class_id, score_tol=0.01, max_points=None, seed=0):
@@ -82,8 +69,11 @@ def region_report(net, features, labels, class_id, score_tol=0.01, max_points=No
 
     fraction_direct is the share of pairs joined by a crossing-free
     segment. Star-shape / connectedness is reported as evidence
-    (fraction + single-component flag), not asserted.
+    (fraction + single-component flag), not asserted. max_points, when
+    given, caps the points by a seeded sample and must be at least 2.
     """
+    if max_points is not None and max_points < 2:
+        raise InvalidParameterError(f"max_points must be None or >= 2, got {max_points}")
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     logits, _ = forward_batch(net, features)

@@ -38,6 +38,10 @@ class TrainConfig:
             raise InvalidParameterError("learning_rate must be positive")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise InvalidParameterError("dropout_rate must be in [0, 1)")
+        if self.epochs < 0:
+            raise InvalidParameterError(f"epochs must be >= 0, got {self.epochs}")
+        if self.batch_size < 1:
+            raise InvalidParameterError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 @dataclass

@@ -1,10 +1,13 @@
 import os
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from flipnet import Layer, Network, SolveOptions, flips, save_checkpoint
-from flipnet.cli import _flip_one, derived_seed, main, read_config, write_csv
+from flipnet import Layer, Network, SolveOptions, flips, load_checkpoint, save_checkpoint
+from flipnet.cli import _flip_one, build_parser, derived_seed, main, read_config, write_csv
 from conftest import write_synth_cifar
 
 
@@ -277,3 +280,139 @@ class TestRecon:
         err = capsys.readouterr().err
         assert "kind=DependencyError" in err
         assert "test_batch.bin" in err
+
+
+COMMANDS = ["prepare", "train", "recon", "flip", "path", "regions", "attack"]
+
+
+def command_argv(command, data_dir, trained):
+    """Small, quick arguments for each subcommand, out dir left out."""
+    inputs = ["--checkpoint", trained / "checkpoint.bin",
+              "--features", trained / "test_features.csv"]
+    return [command, *{
+        "prepare": ["--data-dir", data_dir, "--k", 20],
+        "train": ["--features", trained / "train_features.csv", "--hidden", 4, "--epochs", 1],
+        "recon": ["--data-dir", data_dir, "--k-list", "5,20"],
+        "flip": [*inputs, "--count", 2, "--restarts", 0],
+        "path": [*inputs, "--id1", 0, "--id2", 1],
+        "regions": [*inputs, "--max-points", 4],
+        "attack": [*inputs, "--count", 1, "--epsilons", "0.5", "--restarts", 0],
+    }[command]]
+
+
+def read_manifest(path):
+    """The `key = value` lines of a manifest as a dict."""
+    entries = {}
+    for line in path.read_text().splitlines():
+        key, sep, value = line.partition(" = ")
+        if sep:
+            entries[key] = value
+    return entries
+
+
+class TestManifest:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_config_is_every_option(self, data_dir, trained_dir, tmp_path, command):
+        assert run([*command_argv(command, data_dir, trained_dir), "--out-dir", tmp_path]) == 0
+        manifest = read_manifest(tmp_path / f"manifest_{command}.txt")
+        _, subcommands = build_parser()
+        options = {a.dest for a in subcommands[command]._actions if a.dest != "help"}
+        config = {k.removeprefix("config.") for k in manifest if k.startswith("config.")}
+        assert config == options - {"command", "config", "out_dir", "threads"}
+
+    @pytest.mark.parametrize("command, flag, values", [
+        ("path", "--alpha-min", (0, -1)),
+        ("attack", "--restarts", (0, 2)),
+    ])
+    def test_hash_follows_option(self, data_dir, trained_dir, tmp_path, command, flag, values):
+        hashes = set()
+        for value in values:
+            out = tmp_path / str(value)
+            assert run([*command_argv(command, data_dir, trained_dir), flag, value,
+                        "--out-dir", out]) == 0
+            hashes.add(read_manifest(out / f"manifest_{command}.txt")["config_hash"])
+        assert len(hashes) == len(values)
+
+    def test_flip_result_outside_config(self, data_dir, trained_dir, tmp_path):
+        assert run([*command_argv("flip", data_dir, trained_dir), "--out-dir", tmp_path]) == 0
+        manifest = read_manifest(tmp_path / "manifest_flip.txt")
+        assert 0.0 <= float(manifest["result.converged_fraction"]) <= 1.0
+        assert not any("converged" in k for k in manifest if k.startswith("config."))
+
+    def test_lists_recorded_as_given(self, data_dir, trained_dir, tmp_path):
+        assert run([*command_argv("attack", data_dir, trained_dir), "--epsilons", "0.1,2",
+                    "--out-dir", tmp_path]) == 0
+        assert read_manifest(tmp_path / "manifest_attack.txt")["config.epsilons"] == "0.1,2.0"
+
+
+class TestOptionValues:
+    @pytest.mark.parametrize("command, flags", [
+        ("train", ["--batch-size", 0]),
+        ("train", ["--epochs", -3]),
+        ("regions", ["--max-points", -1]),
+        ("flip", ["--count", -3]),
+        ("attack", ["--count", -2]),
+        ("flip", ["--restarts", -2]),
+    ])
+    def test_out_of_contract_number(self, data_dir, trained_dir, tmp_path, capsys,
+                                    command, flags):
+        code = run([*command_argv(command, data_dir, trained_dir), *flags,
+                    "--out-dir", tmp_path])
+        assert code == 1
+        assert "kind=InvalidParameterError" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("prepare", "--classes", "0,x"),
+        ("train", "--hidden", "8,"),
+        ("recon", "--k-list", "5;20"),
+        ("attack", "--epsilons", ""),
+    ])
+    def test_bad_list_is_a_usage_error(self, data_dir, trained_dir, tmp_path, capsys,
+                                       command, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            run([*command_argv(command, data_dir, trained_dir), flag, value,
+                 "--out-dir", tmp_path])
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
+    def test_empty_hidden_is_no_hidden_layer(self, data_dir, trained_dir, tmp_path):
+        assert run([*command_argv("train", data_dir, trained_dir), "--hidden", "",
+                    "--out-dir", tmp_path]) == 0
+        assert len(load_checkpoint(tmp_path / "checkpoint.bin").layers) == 1
+
+    def test_process_pool_matches_serial(self, data_dir, trained_dir, tmp_path):
+        outputs = []
+        for threads in (1, 2):
+            out = tmp_path / str(threads)
+            assert run([*command_argv("flip", data_dir, trained_dir), "--count", 6,
+                        "--restarts", 1, "--threads", threads, "--out-dir", out]) == 0
+            outputs.append(((out / "flips.csv").read_bytes(),
+                            read_manifest(out / "manifest_flip.txt")["config_hash"]))
+        assert outputs[0] == outputs[1]
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands():
+    """argv of every `flipnet ...` line in the README's sh blocks."""
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line)
+            if argv[:1] == ["flipnet"]:
+                commands.append(argv[1:])
+    return commands
+
+
+def test_readme_commands_parse(capsys):
+    parser, _ = build_parser()
+    commands = readme_commands()
+    assert set(COMMANDS) <= {word for argv in commands for word in argv}
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: flipnet {shlex.join(argv)}\n"
+                        + capsys.readouterr().err)

@@ -181,6 +181,10 @@ class TestClosestFlip:
         r2 = closest_flip(net2, x + shift, (0, 1), FAST)
         np.testing.assert_allclose(r2.point - shift, r1.point, atol=1e-8)
 
+    def test_negative_restarts(self):
+        with pytest.raises(InvalidParameterError):
+            SolveOptions(restarts=-1)
+
     def test_invalid_pair(self, rng):
         net = make_linear_net(rng, 3)
         with pytest.raises(InvalidParameterError):

@@ -230,6 +230,19 @@ class TestProfileToFlip:
         fitted = np.polyval(np.polyfit(profile.alphas, gaps, 1), profile.alphas)
         assert np.max(np.abs(gaps - fitted)) <= 1e-9 * max(1.0, np.max(np.abs(gaps)))
 
+    @pytest.mark.parametrize("seeds", [[12345], range(200)], ids=["rng-fixture", "seeds-0-199"])
+    def test_one_crossing_at_linear_flip(self, seeds):
+        # the included alpha 1.0 is the flip point; a grid alpha a few
+        # ulps away must not add a pair of crossings at the same tie
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            net = make_linear_net(rng, 4)
+            x = rng.standard_normal(4)
+            flip = closest_flip(net, x, (0, 1), SolveOptions(restarts=0))
+            crossings = profile_to_flip(net, x, flip).crossings
+            assert len(crossings) == 1, (seed, crossings)
+            assert abs(crossings[0] - 1.0) <= 1e-9, (seed, crossings)
+
     def test_requires_converged(self, rng):
         net = make_linear_net(rng, 3)
         x = rng.standard_normal(3)

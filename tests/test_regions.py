@@ -9,7 +9,7 @@ from flipnet import (
     count_crossings,
     region_report,
 )
-from flipnet.errors import InvalidInputError
+from flipnet.errors import InvalidInputError, InvalidParameterError
 from conftest import make_bump_net, make_linear_net
 
 
@@ -157,6 +157,13 @@ class TestRegionReport:
         net = make_linear_net(rng, 3)
         with pytest.raises(InvalidInputError):
             region_report(net, np.zeros((1, 3)), np.zeros(1, dtype=int), 0)
+
+    @pytest.mark.parametrize("max_points", [-1, 0, 1])
+    def test_max_points_below_two(self, max_points):
+        net = make_bump_net(width=1.0, sharpness=0.1)
+        pts = np.array([[3.0, 0.0], [2.5, 1.0], [2.0, -1.0]])
+        with pytest.raises(InvalidParameterError):
+            region_report(net, pts, np.ones(3, dtype=int), 1, max_points=max_points)
 
     def test_subsampling_deterministic(self):
         net = make_bump_net(width=1.0, sharpness=0.1)

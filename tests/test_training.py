@@ -167,3 +167,8 @@ class TestConfigValidation:
     def test_bad_dropout(self):
         with pytest.raises(InvalidParameterError):
             TrainConfig(dropout_rate=1.0)
+
+    @pytest.mark.parametrize("kwargs", [{"epochs": -1}, {"batch_size": 0}])
+    def test_bad_epochs_or_batch_size(self, kwargs):
+        with pytest.raises(InvalidParameterError):
+            TrainConfig(**kwargs)
