@@ -20,7 +20,6 @@ from .paths import LineSegment, count_crossings
 class AttackConfig:
     epsilon: float
     steps: int = 500
-    step_size: float = None  # default epsilon / 50
     restarts: int = 0  # extra PGD runs from random points in the ball
     seed: int = 0
 
@@ -31,8 +30,6 @@ class AttackConfig:
             raise InvalidParameterError("steps must be >= 1")
         if self.restarts < 0:
             raise InvalidParameterError("restarts must be >= 0")
-        if self.step_size is None:
-            self.step_size = self.epsilon / 50.0
 
 
 @dataclass
@@ -85,7 +82,8 @@ def _project_ball(x, p, epsilon):
 
 
 def constrained_loss_attack(net, x, target, cfg, record_iterates=False):
-    """PGD on the target-label loss inside the L2 ball of radius epsilon.
+    """PGD on the target-label loss inside the L2 ball of radius epsilon,
+    with gradient steps scaled by epsilon / 50.
 
     One run starts at the query; cfg.restarts adds runs from random
     points inside the ball. Returns the best iterate by loss across
@@ -99,6 +97,7 @@ def constrained_loss_attack(net, x, target, cfg, record_iterates=False):
         raise InvalidParameterError(
             f"target {target} out of range [0, {net.class_count})"
         )
+    step_length = cfg.epsilon / 50.0
     rng = np.random.default_rng(cfg.seed)
     starts = [x.copy()]
     for _ in range(cfg.restarts):
@@ -118,7 +117,7 @@ def constrained_loss_attack(net, x, target, cfg, record_iterates=False):
                 best_loss, best_p = loss, p
             if step == cfg.steps:
                 break
-            p = _project_ball(x, p - cfg.step_size * grad, cfg.epsilon)
+            p = _project_ball(x, p - step_length * grad, cfg.epsilon)
             if trace is not None:
                 trace.append(p)
     pred = int(np.argmax(forward(net, best_p).logits))

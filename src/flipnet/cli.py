@@ -7,6 +7,7 @@ and verifiable. build_parser is the one place that knows the options.
 
 import argparse
 import concurrent.futures
+import functools
 import glob
 import hashlib
 import os
@@ -16,13 +17,7 @@ import numpy as np
 
 from . import features as feat
 from . import flips, paths, regions, attacks, training, network
-from .errors import (
-    DegenerateGradientError,
-    DependencyError,
-    FlipnetError,
-    InvalidInputError,
-    InvalidParameterError,
-)
+from .errors import DependencyError, FlipnetError, InvalidInputError, InvalidParameterError
 
 
 def _fmt(x):
@@ -212,22 +207,6 @@ def cmd_recon(args):
     write_manifest(args, [err_path] + outputs)
 
 
-def _flip_one(task):
-    net, x, pair, opts = task
-    try:
-        return flips.compare(net, x, pair, opts)
-    except DegenerateGradientError:
-        # Taylor baseline is undefined on a logit plateau (compare raises
-        # before solving); still report the solver result with NaN
-        # comparison metrics.
-        nan = float("nan")
-        flip = flips.closest_flip(net, x, pair, opts)
-        return flips.ComparisonMetrics(
-            beta=nan, directional_ratio=nan, angle_deg=nan, flip=flip,
-            taylor=flips.TaylorEstimate(distance=nan, direction=None),
-        )
-
-
 def _query_count(count, rows):
     """The first `count` rows are queried, all of them when count is 0."""
     if count < 0:
@@ -268,12 +247,12 @@ def cmd_flip(args):
     opts = flips.SolveOptions(restarts=args.restarts,
                               seed=derived_seed(args.seed, "flip"))
     pair = (0, 1)
-    tasks = [(net, X[q], pair, opts) for q in range(count)]
+    query = functools.partial(flips.compare, net, pair=pair, opts=opts)
     if args.threads > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.threads) as ex:
-            results = list(ex.map(_flip_one, tasks))
+            results = list(ex.map(query, X[:count]))
     else:
-        results = [_flip_one(t) for t in tasks]
+        results = list(map(query, X[:count]))
 
     os.makedirs(args.out_dir, exist_ok=True)
     rows = []
@@ -383,7 +362,7 @@ def build_parser():
         """Subparser with the shared options and the required input flags."""
         p = sub.add_parser(name, help=help)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out-dir", default="out")
         for flag in required:
             p.add_argument(flag, required=True)

@@ -23,7 +23,6 @@ from .network import forward_batch, softmax_rows, vjp
 STATUS_CONVERGED = "converged"
 STATUS_LOCAL = "local-stationary"
 STATUS_BRACKET_FAILED = "bracket-failed"
-STATUS_BOX_EXIT = "box-exit"
 
 
 @dataclass
@@ -38,6 +37,14 @@ class FlipResult:
     @property
     def converged(self):
         return self.status == STATUS_CONVERGED
+
+
+def rank(result):
+    """Sort key of flip candidates: converged before not converged, then
+    the nearer point; unconverged results rank by equality residual."""
+    if result.converged:
+        return (0, result.distance)
+    return (1, result.equality_residual)
 
 
 @dataclass
@@ -93,6 +100,12 @@ def _logits(net, p):
     return forward_batch(net, p[None, :])[0][0]
 
 
+def _gap_and_grad(net, p, i, j):
+    """Logit gap z_i - z_j at p and its input gradient: one forward pass, one VJP."""
+    z, preacts = forward_batch(net, p[None, :])
+    return z[0, i] - z[0, j], vjp(net, preacts, _pair_coeffs(net.class_count, i, j))[0]
+
+
 def _make_result(net, x, p, pair, z=None):
     """FlipResult at p; z, when given, are the logits at p."""
     i, j = pair
@@ -115,12 +128,9 @@ def _tangent_polish(net, x, p, i, j, iters=30):
     current iterate; exact in one step for linear models, and removes
     the inner solver's tangential drift otherwise.
     """
-    c_eq = _pair_coeffs(net.class_count, i, j)
     q = np.asarray(p, dtype=np.float64).copy()
     for _ in range(iters):
-        z, preacts = forward_batch(net, q[None, :])
-        g = z[0, i] - z[0, j]
-        grad = vjp(net, preacts, c_eq)[0]
+        g, grad = _gap_and_grad(net, q, i, j)
         denom = float(grad @ grad)
         if denom <= 1e-300:
             break
@@ -204,9 +214,9 @@ def closest_flip(net, x, pair, opts=None):
     """Closest point where logits i and j tie and neither is dominated.
 
     Started at the query itself; optional multi-start from Gaussian
-    perturbations at radii {0.01, 0.1} * ||x||. Keeps the converged
-    result with minimum distance; falls back to the best non-converged
-    iterate with status local-stationary.
+    perturbations at radii {0.01, 0.1} * ||x||. Keeps the first result
+    that ranks lowest by `rank`: the nearest converged one, else the
+    non-converged iterate with the smallest equality residual.
     """
     opts = opts or SolveOptions()
     x = np.asarray(x, dtype=np.float64)
@@ -227,31 +237,18 @@ def closest_flip(net, x, pair, opts=None):
         radius = radii[(r // 2) % len(radii)] * scale
         seeds.append(x + radius * rng.standard_normal(x.shape))
 
-    best = None
-    for seed_point in seeds:
-        result = _augmented_lagrangian_solve(net, x, seed_point, pair)
-        if best is None:
-            best = result
-            continue
-        if result.converged and (not best.converged or result.distance < best.distance):
-            best = result
-        elif not best.converged and not result.converged and (
-            result.equality_residual < best.equality_residual
-        ):
-            best = result
-    return best
+    return min((_augmented_lagrangian_solve(net, x, s, pair) for s in seeds), key=rank)
 
 
-def flip_along_direction(net, x, direction, pair, t_max=None, box=None):
+def flip_along_direction(net, x, direction, pair, t_max=None):
     """First boundary crossing along a ray, by doubling bracket + bisection.
 
     The only bracket-and-bisect routine: the solver's polish and the
     line-crossing refinement in paths call it too. Doubling starts at
     min(1e-4, t_max) and never probes past t_max; the bracket is bisected
-    to 1e-12 * max(1, t). box, when given, is (lower, upper)
-    per-coordinate bounds; leaving it before a sign change yields status
-    box-exit. Without a box the search stops at t_max (default
-    1e6 * max(1, ||x||)) with status bracket-failed.
+    to 1e-12 * max(1, t). With no sign change up to t_max (default
+    1e6 * max(1, ||x||)) the result is the point at t_max, with status
+    bracket-failed.
     """
     x = np.asarray(x, dtype=np.float64)
     direction = np.asarray(direction, dtype=np.float64)
@@ -267,12 +264,6 @@ def flip_along_direction(net, x, direction, pair, t_max=None, box=None):
         z = _logits(net, x + t * d)
         return z[i] - z[j]
 
-    def inside(t):
-        if box is None:
-            return True
-        p = x + t * d
-        return bool(np.all(p >= box[0]) and np.all(p <= box[1]))
-
     g0 = gap(0.0)
     if g0 == 0.0:
         return _make_result(net, x, x.copy(), pair)
@@ -280,25 +271,15 @@ def flip_along_direction(net, x, direction, pair, t_max=None, box=None):
     # Doubling: t_lo is the farthest probe on the query's side, t_hi the
     # next one; neither passes t_max.
     t_lo, t_hi = 0.0, min(1e-4, t_max)
-    while True:
-        if not inside(t_hi):
-            fail_status = STATUS_BOX_EXIT
-            break
-        if np.sign(gap(t_hi)) != np.sign(g0):
-            fail_status = None
-            break
+    while np.sign(gap(t_hi)) == np.sign(g0):
         t_lo = t_hi
         if t_hi >= t_max:
-            fail_status = STATUS_BOX_EXIT if box is not None else STATUS_BRACKET_FAILED
-            break
+            p = x + t_lo * d
+            eq, margin = _residuals(_logits(net, p), i, j)
+            return FlipResult(
+                p, float(t_lo), (i, j), float(eq), float(margin), STATUS_BRACKET_FAILED
+            )
         t_hi = min(2.0 * t_hi, t_max)
-
-    if fail_status is not None:
-        p = x + t_lo * d
-        eq, margin = _residuals(_logits(net, p), i, j)
-        return FlipResult(
-            p, float(t_lo), (i, j), float(eq), float(margin), fail_status
-        )
 
     # One width serves every caller: the solver's polish needs the
     # crossing to about 1e-12 relative to anchor its tangent step.
@@ -320,10 +301,7 @@ def taylor_estimate(net, x, pair):
     """First-order distance |g| / ||grad g|| and steepest direction to the
     linearized boundary, for g = z_i - z_j."""
     x = np.asarray(x, dtype=np.float64)
-    i, j = pair
-    z, preacts = forward_batch(net, x[None, :])
-    g = z[0, i] - z[0, j]
-    grad = vjp(net, preacts, _pair_coeffs(net.class_count, i, j))[0]
+    g, grad = _gap_and_grad(net, x, *pair)
     gnorm = np.linalg.norm(grad)
     if gnorm < 1e-14:
         raise DegenerateGradientError("logit-difference gradient is (near) zero")
@@ -350,28 +328,29 @@ def angle_degrees(u, v):
 def compare(net, x, pair, opts=None):
     """Closest flip vs Taylor baseline vs directional search.
 
-    The Taylor estimate comes first, so a query on a logit plateau
-    raises DegenerateGradientError before any solve. If the directional
-    probe finds a closer boundary point than the solver, the solver is
-    re-seeded from it and the closest distance updated, so
-    directional_ratio >= 1 whenever both converged.
+    If the directional point ranks ahead of the solver's result (by
+    `rank`), the solver is re-seeded from it and the first of the three
+    that ranks lowest is kept, so directional_ratio >= 1 whenever both
+    converged. On a logit plateau, where the Taylor estimate is
+    undefined, the solver runs once and beta, directional_ratio and
+    angle_deg are NaN.
     """
     opts = opts or SolveOptions()
     x = np.asarray(x, dtype=np.float64)
-    tay = taylor_estimate(net, x, pair)
+    try:
+        tay = taylor_estimate(net, x, pair)
+    except DegenerateGradientError:
+        nan = float("nan")
+        return ComparisonMetrics(
+            beta=nan, directional_ratio=nan, angle_deg=nan,
+            flip=closest_flip(net, x, pair, opts),
+            taylor=TaylorEstimate(distance=nan, direction=None),
+        )
     flip = closest_flip(net, x, pair, opts)
     directional = flip_along_direction(net, x, tay.direction, pair)
-
-    if directional.converged and (
-        not flip.converged or directional.distance < flip.distance
-    ):
+    if rank(directional) < rank(flip):
         reseeded = _augmented_lagrangian_solve(net, x, directional.point, pair)
-        if reseeded.converged and (
-            not flip.converged or reseeded.distance < flip.distance
-        ):
-            flip = reseeded
-        if not flip.converged or directional.distance < flip.distance:
-            flip = directional
+        flip = min((flip, reseeded, directional), key=rank)
 
     beta = flip.distance / tay.distance if tay.distance > 0 else float("nan")
     if directional.converged and flip.converged and flip.distance > 0:

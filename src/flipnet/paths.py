@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError
-from .flips import flip_along_direction
+from .flips import STATUS_BRACKET_FAILED, flip_along_direction
 from .network import activation_erf_deriv, forward_batch, softmax_rows, spectral_norm
 
 SAMPLE_CAP = 1_000_000
@@ -65,6 +65,13 @@ def _refine_crossing(net, seg, a_lo, a_hi, ci, cj):
         # argmaxes differ only through the rounding of two passes.
         return a_lo
     tie = flip_along_direction(net, x_lo, step, (ci, cj), t_max=length)
+    if tie.status == STATUS_BRACKET_FAILED:
+        # The ends' single-row gaps share a sign, so the batched pass put
+        # one end across a tie that sits at that end: keep the end whose
+        # single-row gap is smaller.
+        gaps = [abs(z[ci] - z[cj]) for z in
+                (forward_batch(net, seg.at(a)[None, :])[0][0] for a in (a_lo, a_hi))]
+        return a_lo if gaps[0] <= gaps[1] else a_hi
     return a_lo + (a_hi - a_lo) * (tie.distance / length)
 
 

@@ -19,6 +19,8 @@ from .network import (
 )
 
 SIGMA_FLOOR = 1e-3
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
 
 
 @dataclass
@@ -28,8 +30,6 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 64
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
     adam_eps: float = 1e-8
     train_sigma: bool = True
 
@@ -127,37 +127,6 @@ def _backward(net, caches, delta_logits, train_sigma):
     return out
 
 
-def _flatten_grads(net, grads):
-    parts = []
-    for (gW, gb, gs) in grads:
-        parts.append(gW.ravel())
-        parts.append(gb)
-        parts.append(np.array([gs]))
-    return np.concatenate(parts)
-
-
-def _get_params(net):
-    parts = []
-    for layer in net.layers:
-        parts.append(layer.weights.ravel())
-        parts.append(layer.bias)
-        parts.append(np.array([layer.sigma]))
-    return np.concatenate(parts)
-
-
-def _set_params(net, theta):
-    off = 0
-    for layer in net.layers:
-        n = layer.weights.size
-        layer.weights = theta[off : off + n].reshape(layer.weights.shape).copy()
-        off += n
-        n = layer.bias.size
-        layer.bias = theta[off : off + n].copy()
-        off += n
-        layer.sigma = max(float(theta[off]), SIGMA_FLOOR)
-        off += 1
-
-
 def train(net, features, labels, cfg, test_features=None, test_labels=None):
     """Minibatch Adam on weights, biases and (optionally) per-layer sigma.
 
@@ -180,9 +149,8 @@ def train(net, features, labels, cfg, test_features=None, test_labels=None):
         return net, report
 
     rng = np.random.default_rng(cfg.seed)
-    theta = _get_params(net)
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
+    # Adam's (m, v) for each layer's weights, bias and sigma
+    moments = [[(0.0, 0.0)] * 3 for _ in net.layers]
     t = 0
     n = features.shape[0]
     onehot = np.eye(net.class_count)
@@ -200,15 +168,20 @@ def train(net, features, labels, cfg, test_features=None, test_labels=None):
             losses.append(batch_loss * len(y))
             delta = (probs - onehot[y]) / len(y)
             grads = _backward(net, caches, delta, cfg.train_sigma)
-            g = _flatten_grads(net, grads)
             t += 1
-            m = cfg.adam_beta1 * m + (1 - cfg.adam_beta1) * g
-            v = cfg.adam_beta2 * v + (1 - cfg.adam_beta2) * g * g
-            m_hat = m / (1 - cfg.adam_beta1**t)
-            v_hat = v / (1 - cfg.adam_beta2**t)
-            theta = theta - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
-            _set_params(net, theta)
-            theta = _get_params(net)  # reflect the sigma projection
+            for layer, layer_grads, layer_moments in zip(net.layers, grads, moments):
+                params = [layer.weights, layer.bias, layer.sigma]
+                for k, g in enumerate(layer_grads):
+                    m, v = layer_moments[k]
+                    m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
+                    v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
+                    layer_moments[k] = (m, v)
+                    m_hat = m / (1 - ADAM_BETA1**t)
+                    v_hat = v / (1 - ADAM_BETA2**t)
+                    step = cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+                    params[k] = params[k] - step
+                layer.weights, layer.bias, sigma = params
+                layer.sigma = max(float(sigma), SIGMA_FLOOR)
         epoch_loss = float(np.sum(losses) / n)
         if not np.isfinite(epoch_loss):
             raise TrainingDivergedError(epoch)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from flipnet import Layer, Network, SolveOptions, flips, load_checkpoint, save_checkpoint
-from flipnet.cli import _flip_one, build_parser, derived_seed, main, read_config, write_csv
+from flipnet.cli import build_parser, derived_seed, main, read_config, write_csv
 from conftest import write_synth_cifar
 
 
@@ -100,7 +100,7 @@ class TestPipeline:
             return closest_flip(*args, **kwargs)
 
         monkeypatch.setattr(flips, "closest_flip", counted)
-        metrics = _flip_one((net, np.zeros(3), (0, 1), SolveOptions(restarts=0)))
+        metrics = flips.compare(net, np.zeros(3), (0, 1), SolveOptions(restarts=0))
         assert len(calls) == 1
         assert np.isnan(metrics.beta)
         assert metrics.flip is not None
@@ -416,3 +416,10 @@ def test_readme_commands_parse(capsys):
         except SystemExit:
             pytest.fail(f"README command does not parse: flipnet {shlex.join(argv)}\n"
                         + capsys.readouterr().err)
+
+
+def test_readme_quick_start_runs():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})

@@ -17,7 +17,7 @@ from flipnet import (
 from flipnet import flips
 from flipnet.errors import DegenerateGradientError, InvalidParameterError
 from flipnet.features import COEFF_COUNT, CoefficientSelector
-from flipnet.flips import STATUS_BOX_EXIT, STATUS_BRACKET_FAILED, angle_degrees
+from flipnet.flips import STATUS_BRACKET_FAILED, angle_degrees
 from flipnet.network import logits_batch
 from conftest import grid_oracle_distance, make_linear_net, make_random_net
 
@@ -257,16 +257,6 @@ class TestFlipAlongDirection:
         assert res.converged
         np.testing.assert_allclose(res.point, point, atol=1e-8 * max(1, dist))
 
-    def test_away_from_boundary_box_exit(self, rng):
-        net = make_linear_net(rng, 3)
-        x = rng.standard_normal(3)
-        w = net.layers[0].weights[0] - net.layers[0].weights[1]
-        c = net.layers[0].bias[0] - net.layers[0].bias[1]
-        g = w @ x + c
-        box = (x - 10.0, x + 10.0)
-        res = flip_along_direction(net, x, np.sign(g) * w, (0, 1), box=box)
-        assert res.status == STATUS_BOX_EXIT
-
     def test_no_box_bracket_failed(self, rng):
         net = make_linear_net(rng, 3)
         x = rng.standard_normal(3)
@@ -415,6 +405,49 @@ class TestCompare:
                 assert m.beta > 1.0
                 unsaturated += 1
         assert saturated >= 5 and unsaturated >= 5
+
+    def test_keeps_first_ranked_candidate(self, rng, monkeypatch):
+        # the solver's results and the directional point are crafted;
+        # each case is (solver, re-seeded solve, directional point)
+        net = make_linear_net(rng, 2)
+        x = rng.standard_normal(2)
+        conv, local = flips.STATUS_CONVERGED, flips.STATUS_LOCAL
+
+        def result(status, distance, residual=0.0):
+            return flips.FlipResult(x + distance, distance, (0, 1), residual, 0.0, status)
+
+        def run(solver, reseeded, directional):
+            solves = iter([solver, reseeded])
+            monkeypatch.setattr(flips, "_augmented_lagrangian_solve",
+                                lambda *args: next(solves))
+            monkeypatch.setattr(flips, "flip_along_direction", lambda *args: directional)
+            chosen = compare(net, x, (0, 1), FAST).flip
+            return chosen, next(solves, None) is None  # was the solver re-seeded?
+
+        # none converged: the smallest equality residual wins
+        cases = result(local, 1.0, 1e-1), result(local, 3.0, 1e-3), result(local, 2.0, 1e-2)
+        assert run(*cases) == (cases[1], True)
+        # a converged point beats a nearer unconverged one
+        cases = result(local, 1.0, 1e-1), result(conv, 3.0), result(conv, 2.0)
+        assert run(*cases) == (cases[2], True)
+        cases = result(conv, 5.0), result(conv, 1.0), result(local, 1.0, 1e-12)
+        assert run(*cases) == (cases[0], False)
+        # on a distance tie the solver's result is kept
+        cases = result(conv, 2.0), result(conv, 1.0), result(conv, 2.0)
+        assert run(*cases) == (cases[0], False)
+        cases = result(local, 1.0, 1e-1), result(conv, 2.0), result(conv, 2.0)
+        assert run(*cases) == (cases[1], True)
+
+    def test_closest_flip_keeps_first_ranked_start(self, rng, monkeypatch):
+        net = make_linear_net(rng, 2)
+        x = rng.standard_normal(2)
+        conv, local = flips.STATUS_CONVERGED, flips.STATUS_LOCAL
+        solves = [flips.FlipResult(x + d, d, (0, 1), r, 0.0, s) for s, d, r in
+                  [(local, 1.0, 1e-1), (local, 0.5, 1e-3), (conv, 3.0, 0.0), (conv, 2.0, 0.0),
+                   (conv, 2.0, 0.0)]]
+        starts = iter(solves)
+        monkeypatch.setattr(flips, "_augmented_lagrangian_solve", lambda *args: next(starts))
+        assert closest_flip(net, x, (0, 1), SolveOptions(restarts=4)) is solves[3]
 
     def test_directional_never_beats_closest(self, rng):
         for _ in range(10):

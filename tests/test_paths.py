@@ -188,6 +188,20 @@ class TestCountCrossings:
         assert np.array_equal(seg.at(0.0), seg.at(1e-300))
         assert _refine_crossing(net, seg, 0.0, 1e-300, 0, 1) == 0.0
 
+    @pytest.mark.parametrize("a_lo, a_hi", [(1.0000000000000002, 1.0031446540880504),
+                                            (0.9968553459119496, 1.0)],
+                             ids=["tie-at-near-end", "tie-at-far-end"])
+    def test_bracket_without_sign_change(self, a_lo, a_hi):
+        # the single-row gaps at the two ends share a sign (a batched pass
+        # can round an end that sits on the tie at alpha 1 across it), so
+        # the ray search finds no sign change: the end nearer the tie wins
+        rng = np.random.default_rng(159)
+        net = make_linear_net(rng, 4)
+        x = rng.standard_normal(4)
+        flip = closest_flip(net, x, (0, 1), SolveOptions(restarts=0))
+        seg = LineSegment(x, flip.point, 0.0, 2.0)
+        assert abs(_refine_crossing(net, seg, a_lo, a_hi, 0, 1) - 1.0) <= 1e-9
+
     def test_refined_crossing_residual(self, rng):
         net = make_random_net(rng, [2, 6, 2], scale=1.5)
         hits = 0
