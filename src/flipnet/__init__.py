@@ -51,7 +51,6 @@ from .attacks import (
     AdversarialComparison,
     constrained_loss_attack,
     compare_attack_vs_flip,
-    flip_distance_histogram,
 )
 
 __version__ = "0.1.0"

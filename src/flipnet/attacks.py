@@ -153,21 +153,3 @@ def compare_attack_vs_flip(net, x, attack, flip, score_tol=0.01):
         angle_deg=angle,
     )
 
-
-def flip_distance_histogram(results, bin_width):
-    """Fixed-width histogram of converged flip distances, bins from 0.
-
-    Returns a list of (bin_low, bin_high, count); total count preserved.
-    """
-    if bin_width <= 0:
-        raise InvalidParameterError("bin_width must be positive")
-    distances = [r.distance for r in results]
-    if not distances:
-        return []
-    n_bins = int(math.floor(max(distances) / bin_width)) + 1
-    counts = [0] * n_bins
-    for d in distances:
-        counts[min(int(d // bin_width), n_bins - 1)] += 1
-    return [
-        (k * bin_width, (k + 1) * bin_width, counts[k]) for k in range(n_bins)
-    ]

@@ -235,12 +235,27 @@ def _paired_test_coeffs(X, count, sel, data_dir, keep):
     return coeffs
 
 
-def cmd_flip(args):
+def _load_binary_checkpoint(args):
+    """The checkpoint of a command that works on a binary model only."""
     net = network.load_checkpoint(_require(args.checkpoint, "flipnet train"))
+    if net.class_count != 2:
+        raise InvalidInputError(
+            f"{args.command} works on a binary model; "
+            f"checkpoint has {net.class_count} classes"
+        )
+    return net
+
+
+def cmd_flip(args):
+    if bool(args.selector) != bool(args.data_dir):
+        raise InvalidParameterError(
+            "the legitimate-image check needs both --selector and --data-dir"
+        )
+    net = _load_binary_checkpoint(args)
     X, y = _load_features_csv(_require(args.features, "flipnet prepare"))
     count = _query_count(args.count, X.shape[0])
     sel = base_coeffs = None
-    if args.selector and args.data_dir:
+    if args.selector:
         sel = feat.load_selector(args.selector)
         base_coeffs = _paired_test_coeffs(X, count, sel, args.data_dir, args.classes)
 
@@ -318,12 +333,7 @@ def cmd_regions(args):
 
 
 def cmd_attack(args):
-    net = network.load_checkpoint(_require(args.checkpoint, "flipnet train"))
-    if net.class_count != 2:
-        raise InvalidInputError(
-            f"attack targets the other class of a binary model; "
-            f"checkpoint has {net.class_count} classes"
-        )
+    net = _load_binary_checkpoint(args)
     X, y = _load_features_csv(_require(args.features, "flipnet prepare"))
     count = _query_count(args.count, X.shape[0])
     opts = flips.SolveOptions(restarts=args.restarts,

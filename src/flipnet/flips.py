@@ -6,15 +6,17 @@ them. The closest flip point is found by an augmented Lagrangian on the
 logit-equality constraint with a quadratic penalty on violated
 dominance inequalities, inner solves by L-BFGS, multi-start from
 perturbed seeds, and a final polish: the ray search towards the
-solver's point, then a tangent step. The first-order Taylor baseline
-and its comparison metrics live here too.
+solver's point (a doubling bracket, then Brent's method), then a
+tangent step. The first-order Taylor baseline and its comparison
+metrics live here too.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 
 from .errors import DegenerateGradientError, InvalidParameterError
 from .features import haar3d_inverse, scatter_selector
@@ -241,14 +243,14 @@ def closest_flip(net, x, pair, opts=None):
 
 
 def flip_along_direction(net, x, direction, pair, t_max=None):
-    """First boundary crossing along a ray, by doubling bracket + bisection.
+    """First boundary crossing along a ray, by doubling bracket + Brent's method.
 
-    The only bracket-and-bisect routine: the solver's polish and the
-    line-crossing refinement in paths call it too. Doubling starts at
-    min(1e-4, t_max) and never probes past t_max; the bracket is bisected
-    to 1e-12 * max(1, t). With no sign change up to t_max (default
-    1e6 * max(1, ||x||)) the result is the point at t_max, with status
-    bracket-failed.
+    The only ray search: the solver's polish and the line-crossing
+    refinement in paths call it too. Doubling starts at min(1e-4, t_max)
+    and never probes past t_max; Brent's method (scipy's brentq) shrinks
+    the bracket to 1e-12 * max(1, t). With no sign change up to t_max
+    (default 1e6 * max(1, ||x||)) the result is the point at t_max, with
+    status bracket-failed.
     """
     x = np.asarray(x, dtype=np.float64)
     direction = np.asarray(direction, dtype=np.float64)
@@ -260,8 +262,14 @@ def flip_along_direction(net, x, direction, pair, t_max=None):
     if t_max is None:
         t_max = 1e6 * max(1.0, float(np.linalg.norm(x)))
 
+    # brentq re-evaluates the bracket's ends, and its root is one of its
+    # probes: each t costs one forward pass
+    @functools.cache
+    def logits(t):
+        return _logits(net, x + t * d)
+
     def gap(t):
-        z = _logits(net, x + t * d)
+        z = logits(t)
         return z[i] - z[j]
 
     g0 = gap(0.0)
@@ -275,7 +283,7 @@ def flip_along_direction(net, x, direction, pair, t_max=None):
         t_lo = t_hi
         if t_hi >= t_max:
             p = x + t_lo * d
-            eq, margin = _residuals(_logits(net, p), i, j)
+            eq, margin = _residuals(logits(t_lo), i, j)
             return FlipResult(
                 p, float(t_lo), (i, j), float(eq), float(margin), STATUS_BRACKET_FAILED
             )
@@ -283,18 +291,9 @@ def flip_along_direction(net, x, direction, pair, t_max=None):
 
     # One width serves every caller: the solver's polish needs the
     # crossing to about 1e-12 relative to anchor its tangent step.
-    while t_hi - t_lo > 1e-12 * max(1.0, t_hi):
-        mid = 0.5 * (t_lo + t_hi)
-        gm = gap(mid)
-        if gm == 0.0:
-            t_lo = t_hi = mid
-            break
-        if np.sign(gm) == np.sign(g0):
-            t_lo = mid
-        else:
-            t_hi = mid
-    t_star = 0.5 * (t_lo + t_hi)
-    return _make_result(net, x, x + t_star * d, pair)
+    t_star = brentq(gap, t_lo, t_hi, xtol=1e-12 * max(1.0, t_hi),
+                    rtol=4 * np.finfo(float).eps)
+    return _make_result(net, x, x + t_star * d, pair, logits(t_star))
 
 
 def taylor_estimate(net, x, pair):

@@ -51,7 +51,6 @@ class PathProfile:
     softmax_scores: np.ndarray  # [samples, class_count]
     logits: np.ndarray  # [samples, class_count]
     crossings: list = field(default_factory=list)
-    step_tol: float = 0.01
     capped: bool = False  # sample cap hit; spacing guarantee void
 
 
@@ -177,7 +176,6 @@ def sample_line(net, seg, score_tol=0.01, include=()):
         softmax_scores=scores,
         logits=logits,
         crossings=crossings,
-        step_tol=score_tol,
         capped=capped,
     )
 

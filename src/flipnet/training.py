@@ -142,12 +142,6 @@ def train(net, features, labels, cfg, test_features=None, test_labels=None):
 
     net = net.copy()
     report = TrainReport()
-    if cfg.epochs == 0:
-        report.train_accuracy = evaluate_accuracy(net, features, labels)
-        if test_features is not None:
-            report.test_accuracy = evaluate_accuracy(net, test_features, test_labels)
-        return net, report
-
     rng = np.random.default_rng(cfg.seed)
     # Adam's (m, v) for each layer's weights, bias and sigma
     moments = [[(0.0, 0.0)] * 3 for _ in net.layers]

@@ -9,13 +9,11 @@ from flipnet import (
     compare_attack_vs_flip,
     constrained_loss_attack,
     count_crossings,
-    flip_distance_histogram,
     forward,
 )
 from flipnet import attacks, network
 from flipnet.attacks import _project_ball
 from flipnet.errors import InvalidParameterError
-from flipnet.flips import FlipResult
 from conftest import make_linear_net, make_random_net
 
 
@@ -177,35 +175,3 @@ class TestCompareAttackVsFlip:
         assert np.isnan(comp.segment_first_crossing_distance)
         assert comp.flip_distance == flip.distance
 
-
-class TestHistogram:
-    def _result(self, d):
-        return FlipResult(np.zeros(2), d, (0, 1), 0.0, 1.0, "converged")
-
-    def test_single_result(self):
-        rows = flip_distance_histogram([self._result(0.35)], 0.1)
-        assert sum(c for _, _, c in rows) == 1
-        low, high, count = rows[3]
-        assert count == 1
-        assert low == pytest.approx(0.3) and high == pytest.approx(0.4)
-
-    def test_counts_preserved(self, rng):
-        results = [self._result(d) for d in rng.uniform(0, 5, 100)]
-        rows = flip_distance_histogram(results, 0.25)
-        assert sum(c for _, _, c in rows) == 100
-
-    def test_recount_oracle(self, rng):
-        distances = rng.uniform(0, 2, 50)
-        results = [self._result(d) for d in distances]
-        width = 0.3
-        rows = flip_distance_histogram(results, width)
-        for low, high, count in rows:
-            expected = int(np.sum((distances >= low) & (distances < high)))
-            assert count == expected
-
-    def test_empty(self):
-        assert flip_distance_histogram([], 0.1) == []
-
-    def test_bad_width(self):
-        with pytest.raises(InvalidParameterError):
-            flip_distance_histogram([], 0.0)

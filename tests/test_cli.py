@@ -81,11 +81,13 @@ class TestPipeline:
         rng = np.random.default_rng(0)
         net = Network([Layer(rng.standard_normal((3, 20)), np.zeros(3), 1.0)])
         save_checkpoint(net, tmp_path / "checkpoint.bin")
-        code = run(["attack", "--checkpoint", tmp_path / "checkpoint.bin",
-                    "--features", tmp_path / "test_features.csv",
-                    "--count", 1, "--out-dir", tmp_path])
-        assert code == 1
-        assert "kind=InvalidInputError" in capsys.readouterr().err
+        for command in ("attack", "flip"):
+            code = run([command, "--checkpoint", tmp_path / "checkpoint.bin",
+                        "--features", tmp_path / "test_features.csv",
+                        "--count", 1, "--out-dir", tmp_path])
+            assert code == 1
+            assert "kind=InvalidInputError" in capsys.readouterr().err
+            assert not os.path.exists(tmp_path / f"{command}s.csv")
 
     def test_plateau_query_solved_once(self, monkeypatch):
         # the hidden unit is saturated, so the logit gap is nonzero but
@@ -152,6 +154,27 @@ class TestPipeline:
                  "--out-dir", out, "--seed", 42])
         for name in ["train_features.csv", "test_features.csv", "selector.txt",
                      "checkpoint.bin", "train_report.csv", "accuracy.csv", "flips.csv"]:
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+    def test_rerun_byte_identical_at_desk_width(self, tmp_path):
+        # the desk recipe's k and hidden width, on a small synthetic set
+        data = tmp_path / "data"
+        data.mkdir()
+        write_synth_cifar(data, n_train=400, n_test=20, seed=7)
+        out_a = tmp_path / "a"
+        out_b = tmp_path / "b"
+        for out in (out_a, out_b):
+            assert run(["prepare", "--data-dir", data, "--out-dir", out,
+                        "--k", 200, "--seed", 42]) == 0
+            assert run(["train", "--features", out / "train_features.csv",
+                        "--hidden", 512, "--epochs", 2, "--out-dir", out,
+                        "--seed", 42]) == 0
+            assert run(["flip", "--checkpoint", out / "checkpoint.bin",
+                        "--features", out / "test_features.csv",
+                        "--count", 3, "--restarts", 1, "--out-dir", out,
+                        "--seed", 42]) == 0
+        for name in ["selector.txt", "train_features.csv", "test_features.csv",
+                     "checkpoint.bin", "flips.csv"]:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
     def test_missing_artifact_fails_fast(self, tmp_path, capsys):
@@ -361,6 +384,16 @@ class TestOptionValues:
         assert code == 1
         assert "kind=InvalidParameterError" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_flip_check_needs_selector_and_data_dir(self, data_dir, trained_dir,
+                                                     tmp_path, capsys):
+        for only in (["--selector", trained_dir / "selector.txt"],
+                     ["--data-dir", data_dir]):
+            code = run([*command_argv("flip", data_dir, trained_dir), *only,
+                        "--out-dir", tmp_path])
+            assert code == 1
+            assert "kind=InvalidParameterError" in capsys.readouterr().err
+            assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command, flag, value", [
         ("prepare", "--classes", "0,x"),

@@ -288,6 +288,62 @@ class TestFlipAlongDirection:
         assert res.converged
         assert res.distance == pytest.approx(5e-5, rel=1e-8)
 
+    def test_crossing_within_1e12_of_closed_form(self, rng):
+        # linear gap w.p + c and one-erf-unit gap c*erf((w.p + b)/sigma) + c0,
+        # both crossed at a closed-form t on an oblique ray / the normal ray
+        for t_target in (0.3, 7.0):
+            for _ in range(5):
+                net = make_linear_net(rng, 5)
+                w = net.layers[0].weights[0] - net.layers[0].weights[1]
+                c = net.layers[0].bias[0] - net.layers[0].bias[1]
+                u = rng.standard_normal(5)
+                u = np.sign(w @ u) * u / np.linalg.norm(u)
+                p0, _ = hyperplane_projection(net.layers[0].weights, net.layers[0].bias,
+                                              rng.standard_normal(5))
+                x = p0 - t_target * u
+                t_star = -(w @ x + c) / (w @ u)
+                res = flip_along_direction(net, x, u, (0, 1))
+                assert res.converged
+                assert abs(res.distance - t_star) <= 1e-12 * max(1.0, t_star)
+
+                w = rng.standard_normal(4)
+                b = rng.standard_normal()
+                sigma = rng.uniform(0.5, 2.0)
+                c = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+                c0 = c * rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 0.9)
+                net = Network([
+                    Layer(w[None, :], np.array([b]), sigma),
+                    Layer(np.array([[c / 2], [-c / 2]]), np.array([c0 / 2, -c0 / 2]), 1.0),
+                ])
+                u_star = erfinv(-c0 / c)
+                side = rng.choice([-1.0, 1.0])
+                x0 = rng.standard_normal(4)
+                u0 = u_star + side * t_target * np.linalg.norm(w) / sigma
+                x = x0 + ((sigma * u0 - b - w @ x0) / (w @ w)) * w
+                t_star = sigma * abs((w @ x + b) / sigma - u_star) / np.linalg.norm(w)
+                res = flip_along_direction(net, x, -side * w, (0, 1))
+                assert res.converged
+                assert abs(res.distance - t_star) <= 1e-12 * max(1.0, t_star)
+
+    def test_passes_past_doubling_at_most_five(self, rng, monkeypatch):
+        # a linear gap is solved by the first interpolation step, so the
+        # search needs few passes beyond its doubling probes
+        counter = PassCounter(monkeypatch)
+        for t_star in (3e-3, 0.3, 7.0, 450.0):
+            net = make_linear_net(rng, 5)
+            w = net.layers[0].weights[0] - net.layers[0].weights[1]
+            p0, _ = hyperplane_projection(net.layers[0].weights, net.layers[0].bias,
+                                          rng.standard_normal(5))
+            x = p0 + t_star * w / np.linalg.norm(w)
+            probes, t = 1, 1e-4
+            while t < t_star:
+                t *= 2.0
+                probes += 1
+            counter.forward = 0
+            res = flip_along_direction(net, x, -w, (0, 1))
+            assert res.converged
+            assert counter.forward <= probes + 5
+
     def test_bisection_residual(self, rng):
         net = make_random_net(rng, [2, 6, 2], scale=1.0)
         x = rng.uniform(-1, 1, 2)
