@@ -1,9 +1,10 @@
 """Softmax profiles along lines between points.
 
 Samples are spaced by a certified local bound on the logits' slope
-along the segment, so between consecutive samples the logits provably
-change by at most score_tol. Boundary crossings (argmax changes) are
-refined by the ray search in flips.
+along the segment: interval bounds on every layer's preactivations and
+their slopes, per cell of the segment. Between consecutive samples the
+logits provably change by at most score_tol. Boundary crossings (argmax
+changes) are refined by the ray search in flips.
 """
 
 from dataclasses import dataclass, field
@@ -12,7 +13,8 @@ import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError
 from .flips import STATUS_BRACKET_FAILED, flip_along_direction
-from .network import activation_erf_deriv, forward_batch, softmax_rows, spectral_norm
+from .network import (activation_erf, activation_erf_deriv, forward_batch, softmax_rows,
+                      spectral_norm)
 
 SAMPLE_CAP = 1_000_000
 CELLS = 64  # equal alpha cells, each with its own slope bound
@@ -34,6 +36,9 @@ class LineSegment:
             raise InvalidInputError("segment endpoints must have the same shape")
         if np.array_equal(self.x1, self.x2):
             raise InvalidInputError("segment endpoints must differ")
+        if not (np.isfinite(self.alpha_min) and np.isfinite(self.alpha_max)):
+            raise InvalidInputError(
+                f"alpha_min and alpha_max must be finite, got {self.alpha_min}, {self.alpha_max}")
         if not self.alpha_min < self.alpha_max:
             raise InvalidInputError("alpha_min must be < alpha_max")
 
@@ -74,14 +79,27 @@ def _refine_crossing(net, seg, a_lo, a_hi, ci, cj):
     return a_lo + (a_hi - a_lo) * (tie.distance / length)
 
 
+def _interval_affine(weights, bias, lo, hi):
+    """Interval image of weights @ [lo, hi] + bias: midpoints through W, radii through |W|."""
+    mid = (lo + hi) / 2 @ weights.T + bias
+    rad = (hi - lo) / 2 @ np.abs(weights).T
+    return mid - rad, mid + rad
+
+
 def _cell_slopes(net, seg, edges):
     """Upper bounds on ||dz/dalpha||_2 on each cell [edges[c], edges[c + 1]].
 
-    Layer-1 preactivations are affine in alpha, so on a cell each hidden
-    unit's erf slope is largest at the point of its preactivation range
-    nearest zero (the local bound of Hein & Andriushchenko, 2017). Later
-    hidden layers use the global erf slope 2 / (sigma sqrt(pi)); the last
-    layer takes the smaller of its spectral-norm and |W| bounds. No cell
+    Interval bound propagation (Gowal et al., 2018) of the pair (hidden
+    preactivation y, dy/dalpha) through every layer, per cell. Layer-1
+    preactivations are affine in alpha, so their range on a cell is
+    exact and their slope is W1 (x2 - x1). A hidden unit's erf slope on
+    [y_lo, y_hi] lies between its values at the ends farthest from and
+    nearest to zero (the local bound of Hein & Andriushchenko, 2017);
+    that interval times the slope interval bounds the activation's
+    slope, and erf of the ends bounds its value. A layer maps interval
+    midpoints through W and radii through |W|, so sign cancellation
+    between units is kept. The bound is the 2-norm of the logit slopes'
+    largest magnitudes, or the spectral-norm chain if smaller. No cell
     bound exceeds lipschitz_bound(net) * ||x2 - x1||.
     """
     first = net.layers[0]
@@ -91,17 +109,23 @@ def _cell_slopes(net, seg, edges):
     offset = first.weights @ seg.x1 + first.bias
     lo = offset + edges[:-1, None] * slope
     hi = offset + edges[1:, None] * slope
-    nearest = np.where(np.signbit(lo) != np.signbit(hi), 0.0,
-                       np.minimum(np.abs(lo), np.abs(hi)))
-    # v bounds |d(activation)/d alpha| per unit, norm bounds its 2-norm
-    v = activation_erf_deriv(nearest, first.sigma) * np.abs(slope)
-    norm = np.linalg.norm(v, axis=1)
-    for layer in net.layers[1:-1]:
-        gain = activation_erf_deriv(0.0, layer.sigma)
-        v = gain * (v @ np.abs(layer.weights).T)
-        norm = gain * spectral_norm(layer.weights) * norm
-    last = net.layers[-1].weights
-    return np.minimum(spectral_norm(last) * norm, np.linalg.norm(v @ np.abs(last).T, axis=1))
+    y_lo, y_hi = np.minimum(lo, hi), np.maximum(lo, hi)
+    d_lo = d_hi = np.broadcast_to(slope, y_lo.shape)
+    norm = None  # spectral-norm chain on the 2-norm of the activations' slopes
+    for layer, nxt in zip(net.layers, net.layers[1:]):
+        s_max = activation_erf_deriv(np.clip(0.0, y_lo, y_hi), layer.sigma)
+        s_min = activation_erf_deriv(np.maximum(-y_lo, y_hi), layer.sigma)
+        d_lo = np.where(d_lo < 0, s_max, s_min) * d_lo
+        d_hi = np.where(d_hi > 0, s_max, s_min) * d_hi
+        if norm is None:
+            norm = np.linalg.norm(np.maximum(-d_lo, d_hi), axis=1)
+        else:
+            norm = activation_erf_deriv(0.0, layer.sigma) * norm
+        norm = spectral_norm(nxt.weights) * norm
+        d_lo, d_hi = _interval_affine(nxt.weights, 0.0, d_lo, d_hi)
+        y_lo, y_hi = _interval_affine(nxt.weights, nxt.bias, activation_erf(y_lo, layer.sigma),
+                                      activation_erf(y_hi, layer.sigma))
+    return np.minimum(norm, np.linalg.norm(np.maximum(-d_lo, d_hi), axis=1))
 
 
 def _sample_alphas(net, seg, score_tol):

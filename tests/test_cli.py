@@ -274,6 +274,15 @@ class TestPath:
         assert "kind=InvalidParameterError" in capsys.readouterr().err
         assert not (tmp_path / "path_profile.csv").exists()
 
+    @pytest.mark.parametrize("flag", ["--alpha-max=inf", "--alpha-min=-inf", "--alpha-max=nan"])
+    def test_rejects_non_finite_alpha(self, trained_dir, tmp_path, capsys, flag):
+        code = run(["path", "--checkpoint", trained_dir / "checkpoint.bin",
+                    "--features", trained_dir / "test_features.csv",
+                    "--out-dir", tmp_path, "--id1", 0, "--id2", 1, flag])
+        assert code == 1
+        assert "kind=InvalidInputError" in capsys.readouterr().err
+        assert not (tmp_path / "path_profile.csv").exists()
+
 
 class TestRecon:
     @pytest.mark.parametrize("index", [80, 5000, -1])

@@ -15,9 +15,44 @@ from flipnet import (
     sample_line,
 )
 from flipnet.errors import InvalidInputError, InvalidParameterError
-from flipnet.network import lipschitz_bound, logits_batch
+from flipnet.network import activation_erf_deriv, lipschitz_bound, logits_batch, spectral_norm
 from flipnet.paths import _cell_slopes, _refine_crossing
 from conftest import dense_crossing_count, make_bump_net, make_linear_net, make_random_net
+
+
+def abs_weight_slopes(net, seg, edges):
+    """The looser cell bound that interval propagation refines.
+
+    Each first-layer unit's slope magnitude is its largest erf slope on
+    the cell times |W1 (x2 - x1)|; deeper layers push magnitudes through
+    |W| and the global erf slope, so signs never cancel. The result is
+    the smaller of that and the spectral-norm chain.
+    """
+    first = net.layers[0]
+    slope = first.weights @ (seg.x2 - seg.x1)
+    if len(net.layers) == 1:
+        return np.full(len(edges) - 1, np.linalg.norm(slope))
+    offset = first.weights @ seg.x1 + first.bias
+    lo = offset + edges[:-1, None] * slope
+    hi = offset + edges[1:, None] * slope
+    nearest = np.where(np.signbit(lo) != np.signbit(hi), 0.0,
+                       np.minimum(np.abs(lo), np.abs(hi)))
+    v = activation_erf_deriv(nearest, first.sigma) * np.abs(slope)
+    norm = np.linalg.norm(v, axis=1)
+    for layer in net.layers[1:-1]:
+        gain = activation_erf_deriv(0.0, layer.sigma)
+        v = gain * (v @ np.abs(layer.weights).T)
+        norm = gain * spectral_norm(layer.weights) * norm
+    last = net.layers[-1].weights
+    return np.minimum(spectral_norm(last) * norm, np.linalg.norm(v @ np.abs(last).T, axis=1))
+
+
+def arc_length_floor(net, seg, tol):
+    """Fewest samples any spacing needs: the logits' arc length over tol, plus one."""
+    alphas = np.linspace(seg.alpha_min, seg.alpha_max, 200_001)
+    z = np.concatenate([logits_batch(net, (1.0 - a)[:, None] * seg.x1 + a[:, None] * seg.x2)
+                        for a in np.array_split(alphas, 100)])
+    return int(np.ceil(np.linalg.norm(np.diff(z, axis=0), axis=1).sum() / tol)) + 1
 
 
 class TestSampleLine:
@@ -25,6 +60,12 @@ class TestSampleLine:
         x = rng.standard_normal(3)
         with pytest.raises(InvalidInputError):
             LineSegment(x, x.copy())
+
+    @pytest.mark.parametrize("bound", ["alpha_min", "alpha_max"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_alpha_rejected(self, rng, bound, value):
+        with pytest.raises(InvalidInputError):
+            LineSegment(rng.standard_normal(3), rng.standard_normal(3), **{bound: value})
 
     def test_zero_net_uniform_no_crossings(self, rng):
         net = Network([Layer(np.zeros((2, 3)), np.zeros(2), 1.0)])
@@ -126,6 +167,26 @@ class TestSampleLine:
                 dz = np.linalg.norm(np.diff(z, axis=0), axis=1)
                 assert np.all(dz <= bound * np.diff(a) * (1 + 1e-9) + 1e-12)
 
+    @pytest.mark.parametrize("dims", [[3, 6, 2], [3, 6, 5, 2], [3, 6, 5, 4, 2]])
+    def test_cell_bounds_at_most_abs_weight_bound(self, rng, dims):
+        for _ in range(20):
+            net = make_random_net(rng, dims, scale=1.5)
+            seg = LineSegment(rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 3), -0.5, 1.5)
+            edges = np.linspace(seg.alpha_min, seg.alpha_max, 65)
+            looser = abs_weight_slopes(net, seg, edges)
+            assert np.all(_cell_slopes(net, seg, edges) <= looser * (1 + 1e-12))
+
+    @pytest.mark.parametrize("dims, scale, sigma_range", [
+        ([200, 512, 2], 0.1, (1.0, 1.0)),
+        ([3, 6, 5, 2], 1.5, (0.5, 2.0)),
+    ])
+    def test_samples_near_arc_length_floor(self, dims, scale, sigma_range):
+        rng = np.random.default_rng(8)
+        net = make_random_net(rng, dims, scale=scale, sigma_range=sigma_range)
+        seg = LineSegment(rng.uniform(-2, 2, dims[0]), rng.uniform(-2, 2, dims[0]))
+        profile = sample_line(net, seg, score_tol=0.01)
+        assert len(profile.alphas) <= 1.5 * arc_length_floor(net, seg, 0.01)
+
     def test_never_more_samples_than_global_spacing(self, rng):
         for _ in range(20):
             net = make_random_net(rng, [3, 6, 5, 2], scale=1.5)
@@ -142,7 +203,7 @@ class TestSampleLine:
         seg = LineSegment(rng.standard_normal(200), rng.standard_normal(200))
         tracemalloc.start()
         try:
-            profile = sample_line(net, seg, score_tol=4e-4)
+            profile = sample_line(net, seg, score_tol=3e-5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
