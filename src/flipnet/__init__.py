@@ -50,6 +50,7 @@ from .attacks import (
     AttackResult,
     AdversarialComparison,
     constrained_loss_attack,
+    constrained_loss_attacks,
     compare_attack_vs_flip,
 )
 

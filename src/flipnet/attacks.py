@@ -2,7 +2,11 @@
 
 The literature-baseline attack minimizes the cross-entropy loss for the
 adversarial label subject to an L2 distance constraint, realized as
-projected gradient descent on the epsilon-ball.
+projected gradient descent on the epsilon-ball. constrained_loss_attacks
+runs many attacks as the rows of one iterate array: every (query, radius,
+restart) run is a row, and each step is one forward pass and one reverse
+sweep for all rows, in chunks of at most CHUNK_ROWS rows. A row's last
+bits can depend on which rows share its chunk.
 """
 
 import math
@@ -10,10 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, ShapeError
 from .flips import angle_degrees
-from .network import forward, forward_batch, softmax_rows, vjp
+from .network import forward_batch, softmax_rows, vjp
 from .paths import LineSegment, count_crossings
+
+CHUNK_ROWS = 2048  # PGD rows per forward_batch call; caps the memory of a step
 
 
 @dataclass
@@ -24,6 +30,8 @@ class AttackConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not math.isfinite(self.epsilon):
+            raise InvalidParameterError(f"epsilon must be finite, got {self.epsilon}")
         if self.epsilon <= 0:
             raise InvalidParameterError("epsilon must be positive")
         if self.steps < 1:
@@ -39,7 +47,7 @@ class AttackResult:
     predicted_class: int
     succeeded: bool
     final_loss: float
-    iterates: np.ndarray = None  # [steps, dim] when recording was requested
+    iterates: np.ndarray = None  # [(1 + restarts) * (steps + 1), dim] when recorded
 
 
 @dataclass
@@ -50,85 +58,153 @@ class AdversarialComparison:
     angle_deg: float
 
 
-def _loss_and_grad(net, p, target):
-    """Target-label cross-entropy at p and its input gradient, in one pass."""
-    z, preacts = forward_batch(net, p[None, :])
-    softmax = softmax_rows(z[0])
-    loss = -math.log(max(softmax[target], 1e-300))
-    # d(-log softmax_t)/d logits = softmax - onehot; pull back to input
-    softmax[target] -= 1.0
-    return loss, vjp(net, preacts, softmax)[0]
+def _row_norms(D):
+    """np.linalg.norm of each row of D, bit for bit: a stack of [1, d] @ [d, 1]
+    products reduces each row with the same dot kernel as a 1-D norm."""
+    return np.sqrt(np.matmul(D[:, None, :], D[:, :, None])[:, 0, 0])
 
 
-def _project_ball(x, p, epsilon):
-    """Nearest point to p in the closed L2 ball of radius epsilon around x.
+def _project_ball(x, P, epsilon):
+    """Nearest point to each row of P in the closed L2 ball of radius
+    epsilon around the matching row of x.
 
-    The result satisfies np.linalg.norm(result - x) <= epsilon as
-    computed in floating point: when rounding leaves the scaled point
-    just outside, the scale shrinks until it is inside.
+    P is [n, d] with x [n, d] or [d] and epsilon a scalar or [n]; a 1-D P
+    is one row. Each result row satisfies np.linalg.norm(row - x) <=
+    epsilon as computed in floating point: when rounding leaves a scaled
+    row just outside, its scale shrinks until it is inside.
     """
-    delta = p - x
-    dn = np.linalg.norm(delta)
-    if dn <= epsilon:
-        return p
-    scale = epsilon / dn
+    P = np.asarray(P, dtype=np.float64)
+    if P.ndim == 1:
+        return _project_ball(x, P[None, :], epsilon)[0]
+    X = np.broadcast_to(x, P.shape)
+    eps = np.broadcast_to(np.asarray(epsilon, dtype=np.float64), P.shape[:1])
+    delta = P - X
+    dn = _row_norms(delta)
+    rows = np.flatnonzero(dn > eps)
+    if not rows.size:
+        return P
+    Q = P.copy()
+    scale = eps[rows] / dn[rows]
     shrink = np.finfo(np.float64).eps
-    q = x + delta * scale
-    while np.linalg.norm(q - x) > epsilon:
-        scale *= 1.0 - shrink
+    while rows.size:
+        Q[rows] = X[rows] + delta[rows] * scale[:, None]
+        outside = _row_norms(Q[rows] - X[rows]) > eps[rows]
+        rows, scale = rows[outside], scale[outside] * (1.0 - shrink)
         shrink = min(2.0 * shrink, 1.0)
-        q = x + delta * scale
-    return q
+    return Q
 
 
-def constrained_loss_attack(net, x, target, cfg, record_iterates=False):
-    """PGD on the target-label loss inside the L2 ball of radius epsilon,
-    with gradient steps scaled by epsilon / 50.
-
-    One run starts at the query; cfg.restarts adds runs from random
-    points inside the ball. Returns the best iterate by loss across
-    runs; success means its argmax equals the target. Failure is a
-    valid outcome (infeasible constraint). With record_iterates the
-    post-projection iterate sequence is kept on the result for
-    feasibility auditing.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if not 0 <= target < net.class_count:
-        raise InvalidParameterError(
-            f"target {target} out of range [0, {net.class_count})"
-        )
-    step_length = cfg.epsilon / 50.0
+def _starts(x, cfg):
+    """The query, then cfg.restarts points drawn uniformly in the ball."""
     rng = np.random.default_rng(cfg.seed)
-    starts = [x.copy()]
+    starts = [x]
     for _ in range(cfg.restarts):
         u = rng.standard_normal(x.shape)
         r = cfg.epsilon * rng.random() ** (1.0 / len(x))
         starts.append(_project_ball(x, x + r * u / np.linalg.norm(u), cfg.epsilon))
+    return starts
 
-    best_p, best_loss = None, math.inf
-    trace = [] if record_iterates else None
-    for p in starts:
+
+def _pgd_rows(net, X, P, targets, epsilon, steps, trace):
+    """PGD from the rows of P, each in its own ball (row of X, epsilon).
+
+    Returns each row's best iterate by target-label loss (strict < in
+    step order), that loss and the logits there. It costs steps + 1
+    forward passes and steps reverse sweeps however many rows there
+    are: the last iterate needs only its loss. With trace a list, each
+    post-projection iterate array is appended to it.
+    """
+    ar = np.arange(len(P))
+    step_length = epsilon[:, None] / 50.0
+    best_P = np.empty_like(P)
+    best_loss = np.full(len(P), math.inf)
+    best_Z = np.empty((len(P), net.class_count))
+    for step in range(steps + 1):
         if trace is not None:
-            trace.append(p)
-        # each iterate is evaluated once; its gradient drives the next step
-        for step in range(cfg.steps + 1):
-            loss, grad = _loss_and_grad(net, p, target)
-            if loss < best_loss:
-                best_loss, best_p = loss, p
-            if step == cfg.steps:
-                break
-            p = _project_ball(x, p - step_length * grad, cfg.epsilon)
-            if trace is not None:
-                trace.append(p)
-    pred = int(np.argmax(forward(net, best_p).logits))
-    return AttackResult(
-        point=best_p,
-        distance=float(np.linalg.norm(best_p - x)),
-        predicted_class=pred,
-        succeeded=(pred == target),
-        final_loss=float(best_loss),
-        iterates=np.array(trace) if trace is not None else None,
-    )
+            trace.append(P)
+        Z, preacts = forward_batch(net, P)
+        softmax = softmax_rows(Z)
+        loss = -np.log(np.maximum(softmax[ar, targets], 1e-300))
+        better = loss < best_loss
+        best_loss[better] = loss[better]
+        best_P[better] = P[better]
+        best_Z[better] = Z[better]
+        if step == steps:
+            break
+        # d(-log softmax_t)/d logits = softmax - onehot; pull back to input
+        softmax[ar, targets] -= 1.0
+        P = _project_ball(X, P - step_length * vjp(net, preacts, softmax), epsilon)
+    return best_P, best_loss, best_Z
+
+
+def constrained_loss_attacks(net, X, targets, cfgs, record_iterates=False):
+    """PGD on target-label losses inside L2 balls, for many attacks at once.
+
+    Attack i runs from row X[i] towards class targets[i] with cfgs[i]:
+    one run from the query and cfgs[i].restarts runs from random points
+    in the ball, with gradient steps of epsilon / 50. Every run is one
+    row of an iterate array, and a step is one forward pass and one
+    reverse sweep over all rows (CHUNK_ROWS at a time, grouped by step
+    count). Each attack returns the best iterate by loss over its runs
+    (the first of equal losses); success means its argmax equals the
+    target. Failure is a valid outcome (infeasible constraint). With
+    record_iterates each result keeps its runs' post-projection
+    iterates, run after run, for feasibility auditing.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    targets = np.asarray(targets)
+    if X.ndim != 2 or targets.shape != (len(X),) or len(cfgs) != len(X):
+        raise ShapeError(f"expected X [n, d] with n targets and configs, got {X.shape}, "
+                         f"{targets.shape} and {len(cfgs)}")
+    for target in targets:
+        if not 0 <= target < net.class_count:
+            raise InvalidParameterError(
+                f"target {target} out of range [0, {net.class_count})"
+            )
+    if not len(X):
+        return []
+    # rows first[i]:first[i + 1] are attack i's runs, its query first
+    first = np.cumsum([0] + [1 + cfg.restarts for cfg in cfgs])
+    owner = np.repeat(np.arange(len(X)), np.diff(first))
+    starts = np.array([s for x, cfg in zip(X, cfgs) for s in _starts(x, cfg)])
+    eps = np.array([cfgs[i].epsilon for i in owner], dtype=np.float64)
+    steps = np.array([cfgs[i].steps for i in owner])
+    best_P = np.empty_like(starts)
+    best_loss = np.empty(len(starts))
+    best_Z = np.empty((len(starts), net.class_count))
+    traces = [None] * len(starts)
+    for n_steps in np.unique(steps):
+        group = np.flatnonzero(steps == n_steps)
+        for lo in range(0, len(group), CHUNK_ROWS):
+            rows = group[lo:lo + CHUNK_ROWS]
+            trace = [] if record_iterates else None
+            best_P[rows], best_loss[rows], best_Z[rows] = _pgd_rows(
+                net, X[owner[rows]], starts[rows], targets[owner[rows]], eps[rows],
+                int(n_steps), trace)
+            if record_iterates:
+                for row, row_trace in zip(rows, np.stack(trace, axis=1)):
+                    traces[row] = row_trace
+    results = []
+    for i, (x, target) in enumerate(zip(X, targets)):
+        best = first[i] + int(np.argmin(best_loss[first[i]:first[i + 1]]))
+        pred = int(np.argmax(best_Z[best]))
+        results.append(AttackResult(
+            point=best_P[best],
+            distance=float(np.linalg.norm(best_P[best] - x)),
+            predicted_class=pred,
+            succeeded=bool(pred == target),
+            final_loss=float(best_loss[best]),
+            iterates=(np.concatenate(traces[first[i]:first[i + 1]])
+                      if record_iterates else None),
+        ))
+    return results
+
+
+def constrained_loss_attack(net, x, target, cfg, record_iterates=False):
+    """constrained_loss_attacks for one query: PGD on the target-label
+    loss inside the L2 ball of radius cfg.epsilon around x."""
+    x = np.asarray(x, dtype=np.float64)
+    return constrained_loss_attacks(net, x[None, :], [target], [cfg], record_iterates)[0]
 
 
 def compare_attack_vs_flip(net, x, attack, flip, score_tol=0.01):

@@ -336,26 +336,32 @@ def cmd_attack(args):
     net = _load_binary_checkpoint(args)
     X, y = _load_features_csv(_require(args.features, "flipnet prepare"))
     count = _query_count(args.count, X.shape[0])
+    # row q * len(epsilons) + e of attacks.csv attacks query q at epsilons[e]
+    cfgs = [attacks.AttackConfig(epsilon=eps, seed=derived_seed(args.seed, f"attack:{q}"))
+            for q in range(count) for eps in args.epsilons]
     opts = flips.SolveOptions(restarts=args.restarts,
                               seed=derived_seed(args.seed, "attack"))
     os.makedirs(args.out_dir, exist_ok=True)
+    queries = X[:count]
+    preds = np.argmax(network.forward_batch(net, queries)[0], axis=1)
+    targets = 1 - preds  # binary pipeline
+    flip_results = [flips.closest_flip(net, x, (int(pred), int(target)), opts)
+                    for x, pred, target in zip(queries, preds, targets)]
+    k = len(args.epsilons)
+    results = attacks.constrained_loss_attacks(
+        net, np.repeat(queries, k, axis=0), np.repeat(targets, k), cfgs)
     rows = []
-    for q in range(count):
-        x = X[q]
-        pred = int(np.argmax(network.forward(net, x).logits))
-        target = 1 - pred  # binary pipeline
-        flip = flips.closest_flip(net, x, (pred, target), opts)
-        for eps in args.epsilons:
-            cfg = attacks.AttackConfig(epsilon=eps, seed=derived_seed(args.seed, f"attack:{q}"))
-            res = attacks.constrained_loss_attack(net, x, target, cfg)
-            comp = attacks.compare_attack_vs_flip(net, x, res, flip)
-            rows.append((q, eps, int(res.succeeded), comp.attack_distance,
-                         comp.flip_distance, comp.segment_first_crossing_distance,
-                         comp.angle_deg))
+    for r, (cfg, res) in enumerate(zip(cfgs, results)):
+        q = r // k
+        flip = flip_results[q]
+        comp = attacks.compare_attack_vs_flip(net, queries[q], res, flip)
+        rows.append((q, cfg.epsilon, int(res.succeeded), comp.attack_distance,
+                     comp.flip_distance, comp.segment_first_crossing_distance,
+                     comp.angle_deg, flip.status))
     out_path = os.path.join(args.out_dir, "attacks.csv")
     write_csv(out_path,
               ["id", "epsilon", "succeeded", "attack_distance", "flip_distance",
-               "first_crossing_distance", "angle_deg"],
+               "first_crossing_distance", "angle_deg", "flip_status"],
               rows)
     write_manifest(args, [out_path])
 

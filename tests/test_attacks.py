@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from flipnet import (
     closest_flip,
     compare_attack_vs_flip,
     constrained_loss_attack,
+    constrained_loss_attacks,
     count_crossings,
     forward,
 )
@@ -19,6 +22,50 @@ from conftest import make_linear_net, make_random_net
 
 def _current_class(net, x):
     return int(np.argmax(forward(net, x).logits))
+
+
+def _reference_project_ball(x, p, epsilon):
+    """The one-row projection of the single-row PGD loop."""
+    delta = p - x
+    dn = np.linalg.norm(delta)
+    if dn <= epsilon:
+        return p
+    scale = epsilon / dn
+    shrink = np.finfo(np.float64).eps
+    q = x + delta * scale
+    while np.linalg.norm(q - x) > epsilon:
+        scale *= 1.0 - shrink
+        shrink = min(2.0 * shrink, 1.0)
+        q = x + delta * scale
+    return q
+
+
+def _reference_attack(net, x, target, cfg):
+    """The single-row PGD loop: one forward pass and one reverse sweep per
+    iterate, runs one after another. Returns (point, final loss, succeeded,
+    the start of each run)."""
+    step_length = cfg.epsilon / 50.0
+    rng = np.random.default_rng(cfg.seed)
+    starts = [x.copy()]
+    for _ in range(cfg.restarts):
+        u = rng.standard_normal(x.shape)
+        r = cfg.epsilon * rng.random() ** (1.0 / len(x))
+        starts.append(_reference_project_ball(x, x + r * u / np.linalg.norm(u), cfg.epsilon))
+    best_p, best_loss = None, math.inf
+    for p in starts:
+        for step in range(cfg.steps + 1):
+            z, preacts = network.forward_batch(net, p[None, :])
+            softmax = network.softmax_rows(z[0])
+            loss = -math.log(max(softmax[target], 1e-300))
+            if loss < best_loss:
+                best_loss, best_p = loss, p
+            if step == cfg.steps:
+                break
+            softmax[target] -= 1.0
+            grad = network.vjp(net, preacts, softmax)[0]
+            p = _reference_project_ball(x, p - step_length * grad, cfg.epsilon)
+    pred = int(np.argmax(forward(net, best_p).logits))
+    return best_p, best_loss, pred == target, starts
 
 
 class TestConstrainedLossAttack:
@@ -95,18 +142,88 @@ class TestConstrainedLossAttack:
         monkeypatch.setattr(network, "forward_batch", fwd)
         monkeypatch.setattr(attacks, "forward_batch", fwd)
         monkeypatch.setattr(attacks, "vjp", counted("vjp", attacks.vjp))
-        steps, restarts = 40, 2
-        constrained_loss_attack(net, x, 0, AttackConfig(epsilon=0.5, steps=steps, restarts=restarts))
-        iterates = (steps + 1) * (1 + restarts)
-        # one loss-and-gradient pass per iterate, plus the final prediction
-        assert calls["vjp"] == iterates
-        assert calls["forward_batch"] == iterates + 1
+        steps = 40
+        for restarts in (0, 2):
+            calls.update(forward_batch=0, vjp=0)
+            constrained_loss_attack(net, x, 0, AttackConfig(epsilon=0.5, steps=steps,
+                                                            restarts=restarts))
+            # restarts are rows of one pass; the last iterate needs no gradient
+            # and the prediction reads the logits kept with the best iterate
+            assert calls["forward_batch"] == steps + 1
+            assert calls["vjp"] == steps
 
     def test_config_validation(self):
         with pytest.raises(InvalidParameterError):
             AttackConfig(epsilon=0.0)
         with pytest.raises(InvalidParameterError):
             AttackConfig(epsilon=1.0, steps=0)
+
+    @pytest.mark.parametrize("epsilon", [np.inf, -np.inf, np.nan])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            AttackConfig(epsilon=epsilon)
+
+
+class TestBatchedAttacks:
+    RADII = (0.05, 0.5, 3.0)
+
+    def _runs(self, rng, restarts, steps):
+        """A random net with 1-2 hidden layers, 4 queries x RADII as one batch."""
+        dims = [int(rng.integers(2, 6))]
+        dims += [int(rng.integers(3, 9)) for _ in range(int(rng.integers(1, 3)))] + [2]
+        net = make_random_net(rng, dims, scale=1.0)
+        X = rng.standard_normal((4, dims[0]))
+        queries = np.repeat(X, len(self.RADII), axis=0)
+        targets = [1 - _current_class(net, x) for x in queries]
+        cfgs = [AttackConfig(epsilon=eps, steps=steps, restarts=restarts, seed=int(q))
+                for q in range(len(X)) for eps in self.RADII]
+        return net, queries, targets, cfgs
+
+    def test_batch_equals_single_row_loop(self):
+        rng = np.random.default_rng(2024)
+        flag_mismatches = 0
+        for _ in range(60):
+            net, queries, targets, cfgs = self._runs(rng, restarts=0, steps=200)
+            results = constrained_loss_attacks(net, queries, targets, cfgs,
+                                               record_iterates=True)
+            for x, target, cfg, res in zip(queries, targets, cfgs, results):
+                point, loss, succeeded, _ = _reference_attack(net, x, target, cfg)
+                flag_mismatches += res.succeeded != succeeded
+                assert res.final_loss == pytest.approx(loss, rel=1e-10, abs=0)
+                assert np.linalg.norm(res.point - point) <= 1e-6 * cfg.epsilon
+                assert res.distance == np.linalg.norm(res.point - x) <= cfg.epsilon
+                assert res.iterates.shape == (cfg.steps + 1, len(x))
+                assert all(np.linalg.norm(it - x) <= cfg.epsilon for it in res.iterates)
+        assert flag_mismatches == 0
+
+    def test_restart_starts_are_the_single_row_draws(self):
+        rng = np.random.default_rng(77)
+        for _ in range(10):
+            net, queries, targets, cfgs = self._runs(rng, restarts=2, steps=30)
+            results = constrained_loss_attacks(net, queries, targets, cfgs,
+                                               record_iterates=True)
+            for x, target, cfg, res in zip(queries, targets, cfgs, results):
+                point, loss, succeeded, starts = _reference_attack(net, x, target, cfg)
+                runs = res.iterates.reshape(1 + cfg.restarts, cfg.steps + 1, len(x))
+                for run, start in zip(runs, starts):
+                    assert np.array_equal(run[0], start)
+                    assert all(np.linalg.norm(it - x) <= cfg.epsilon for it in run)
+                assert res.succeeded == succeeded
+                assert res.final_loss == pytest.approx(loss, rel=1e-10, abs=0)
+
+    def test_chunks_and_step_groups_match_single_calls(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        net, queries, targets, cfgs = self._runs(rng, restarts=1, steps=20)
+        for cfg in cfgs[::2]:
+            cfg.steps = 25
+        monkeypatch.setattr(attacks, "CHUNK_ROWS", 5)
+        batched = constrained_loss_attacks(net, queries, targets, cfgs)
+        single = [constrained_loss_attack(net, x, t, cfg)
+                  for x, t, cfg in zip(queries, targets, cfgs)]
+        for a, b in zip(batched, single):
+            assert a.succeeded == b.succeeded
+            assert a.final_loss == pytest.approx(b.final_loss, rel=1e-10, abs=0)
+            assert np.linalg.norm(a.point - b.point) <= 1e-9
 
 
 class TestProjectBall:
@@ -132,6 +249,19 @@ class TestProjectBall:
         # draws, including the attack_distance 0.10000000000000003 seen
         # at epsilon 0.1
         assert naive_outside > 0 and reported_case > 0
+
+
+    def test_rows_equal_single_row_reference(self):
+        # one call over many rows gives each row the single-row projection,
+        # bit for bit, with rows inside their balls returned unchanged
+        rng = np.random.default_rng(11)
+        for dim in (1, 3, 200, 513):
+            X = rng.standard_normal((40, dim)) * 10.0 ** rng.uniform(-3, 3, (40, 1))
+            eps = 10.0 ** rng.uniform(-6, 3, 40)
+            P = X + rng.standard_normal((40, dim)) * eps[:, None] * rng.uniform(0.1, 10.0, (40, 1))
+            Q = _project_ball(X, P, eps)
+            for x, p, e, q in zip(X, P, eps, Q):
+                assert np.array_equal(q, _reference_project_ball(x, p, e))
 
 
 class TestCompareAttackVsFlip:

@@ -152,9 +152,43 @@ class TestPipeline:
                  "--features", out / "test_features.csv",
                  "--count", 3, "--restarts", 1, "--threads", 1,
                  "--out-dir", out, "--seed", 42])
+            assert run(["attack", "--checkpoint", out / "checkpoint.bin",
+                        "--features", out / "test_features.csv",
+                        "--count", 3, "--epsilons", "0.1,2.0",
+                        "--out-dir", out, "--seed", 42]) == 0
         for name in ["train_features.csv", "test_features.csv", "selector.txt",
-                     "checkpoint.bin", "train_report.csv", "accuracy.csv", "flips.csv"]:
+                     "checkpoint.bin", "train_report.csv", "accuracy.csv", "flips.csv",
+                     "attacks.csv"]:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+    def test_attack_rows_agree_across_counts(self, data_dir, trained_dir, tmp_path):
+        # query 0 shares its PGD batch with other rows only at --count 3
+        rows = {}
+        for count in (1, 3):
+            out = tmp_path / str(count)
+            assert run(["attack", "--checkpoint", trained_dir / "checkpoint.bin",
+                        "--features", trained_dir / "test_features.csv",
+                        "--count", count, "--epsilons", "0.1,2.0",
+                        "--out-dir", out, "--seed", 42]) == 0
+            lines = (out / "attacks.csv").read_text().strip().split("\n")
+            assert lines[0].split(",") == ["id", "epsilon", "succeeded", "attack_distance",
+                                           "flip_distance", "first_crossing_distance",
+                                           "angle_deg", "flip_status"]
+            assert len(lines) == 1 + 2 * count
+            rows[count] = [dict(zip(lines[0].split(","), line.split(",")))
+                           for line in lines[1:3]]
+        for one, three in zip(rows[1], rows[3]):
+            assert one["id"] == three["id"] == "0"
+            assert one["succeeded"] == three["succeeded"]
+            assert one["flip_distance"] == three["flip_distance"]
+            assert one["flip_status"] == three["flip_status"]
+            assert float(one["attack_distance"]) == pytest.approx(
+                float(three["attack_distance"]), rel=1e-12, abs=0)
+            first_one, first_three = (float(one["first_crossing_distance"]),
+                                      float(three["first_crossing_distance"]))
+            assert np.isnan(first_one) == np.isnan(first_three)
+            if not np.isnan(first_one):
+                assert first_one == pytest.approx(first_three, rel=1e-8, abs=0)
 
     def test_rerun_byte_identical_at_desk_width(self, tmp_path):
         # the desk recipe's k and hidden width, on a small synthetic set
@@ -385,6 +419,9 @@ class TestOptionValues:
         ("flip", ["--count", -3]),
         ("attack", ["--count", -2]),
         ("flip", ["--restarts", -2]),
+        ("attack", ["--epsilons=inf"]),
+        ("attack", ["--epsilons=nan"]),
+        ("attack", ["--epsilons", "0"]),
     ])
     def test_out_of_contract_number(self, data_dir, trained_dir, tmp_path, capsys,
                                     command, flags):
