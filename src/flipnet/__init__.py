@@ -10,6 +10,7 @@ from .network import (
     Network,
     Evaluation,
     activation_erf,
+    cross_entropy,
     forward,
     forward_batch,
     vjp,
@@ -31,7 +32,7 @@ from .features import (
     save_selector,
     load_selector,
 )
-from .training import TrainConfig, TrainReport, cross_entropy, train, evaluate_accuracy
+from .training import TrainConfig, TrainReport, train, evaluate_accuracy
 from .flips import (
     FlipResult,
     TaylorEstimate,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, ShapeError
 from .flips import angle_degrees
-from .network import forward_batch, softmax_rows, vjp
+from .network import cross_entropy, forward_batch, softmax_rows, vjp
 from .paths import LineSegment, count_crossings
 
 CHUNK_ROWS = 2048  # PGD rows per forward_batch call; caps the memory of a step
@@ -30,10 +30,8 @@ class AttackConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not math.isfinite(self.epsilon):
-            raise InvalidParameterError(f"epsilon must be finite, got {self.epsilon}")
-        if self.epsilon <= 0:
-            raise InvalidParameterError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise InvalidParameterError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.steps < 1:
             raise InvalidParameterError("steps must be >= 1")
         if self.restarts < 0:
@@ -124,7 +122,7 @@ def _pgd_rows(net, X, P, targets, epsilon, steps, trace):
             trace.append(P)
         Z, preacts = forward_batch(net, P)
         softmax = softmax_rows(Z)
-        loss = -np.log(np.maximum(softmax[ar, targets], 1e-300))
+        loss = cross_entropy(softmax, targets)
         better = loss < best_loss
         best_loss[better] = loss[better]
         best_P[better] = P[better]
@@ -207,7 +205,7 @@ def constrained_loss_attack(net, x, target, cfg, record_iterates=False):
     return constrained_loss_attacks(net, x[None, :], [target], [cfg], record_iterates)[0]
 
 
-def compare_attack_vs_flip(net, x, attack, flip, score_tol=0.01):
+def compare_attack_vs_flip(net, x, attack, flip):
     """Distances and angle of the attack point vs the closest flip point.
 
     For a successful attack, the first crossing on the segment x ->
@@ -218,7 +216,7 @@ def compare_attack_vs_flip(net, x, attack, flip, score_tol=0.01):
     first_crossing = float("nan")
     if attack.succeeded and attack.distance > 0:
         seg = LineSegment(x, attack.point, 0.0, 1.0)
-        crossings = count_crossings(net, seg, score_tol)
+        crossings = count_crossings(net, seg)
         if crossings:
             first_crossing = min(crossings) * attack.distance
     angle = angle_degrees(flip.point - x, attack.point - x)

@@ -191,6 +191,8 @@ def cmd_recon(args):
         order = feat.load_selector(_require(args.selector, "flipnet prepare")).indices
     else:
         order = np.argsort(-np.abs(feat.haar3d_forward(image)), kind="stable")
+    if not all(0 <= k <= len(order) for k in args.k_list):
+        raise InvalidParameterError(f"--k-list must lie in [0, {len(order)}], got {args.k_list}")
     os.makedirs(args.out_dir, exist_ok=True)
     rows = []
     outputs = []
@@ -416,7 +418,7 @@ def build_parser():
     p.add_argument("--id2", type=int, required=True)
     p.add_argument("--alpha-min", type=float, default=0.0)
     p.add_argument("--alpha-max", type=float, default=1.0)
-    p.add_argument("--score-tol", type=float, default=0.01)
+    p.add_argument("--score-tol", type=float, default=paths.SCORE_TOL)
 
     p = command("regions", "within-class adjacency and connectivity",
                 "--checkpoint", "--features")

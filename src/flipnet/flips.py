@@ -70,6 +70,7 @@ OUTER_TOL = 1e-8  # on the logit-equality residual
 PENALTY_INIT = 10.0
 PENALTY_GROWTH = 10.0
 INNER_MAXITER = 500
+PIXEL_TOL = 1e-6  # a legitimate image's pixels lie in [0, 1] to within this
 
 
 @dataclass
@@ -80,6 +81,14 @@ class SolveOptions:
     def __post_init__(self):
         if self.restarts < 0:
             raise InvalidParameterError(f"restarts must be >= 0, got {self.restarts}")
+
+
+def _check_pair(net, pair):
+    """The class pair as two distinct class ids of net, else InvalidParameterError."""
+    i, j = pair
+    if i == j or not (0 <= i < net.class_count and 0 <= j < net.class_count):
+        raise InvalidParameterError(f"invalid class pair {pair}")
+    return i, j
 
 
 def _pair_coeffs(class_count, i, j):
@@ -222,9 +231,7 @@ def closest_flip(net, x, pair, opts=None):
     """
     opts = opts or SolveOptions()
     x = np.asarray(x, dtype=np.float64)
-    i, j = pair
-    if i == j or not (0 <= i < net.class_count and 0 <= j < net.class_count):
-        raise InvalidParameterError(f"invalid class pair {pair}")
+    i, j = _check_pair(net, pair)
 
     # A query already on the boundary is its own flip point.
     eq, margin = _residuals(_logits(net, x), i, j)
@@ -258,7 +265,7 @@ def flip_along_direction(net, x, direction, pair, t_max=None):
     if norm == 0.0:
         raise InvalidParameterError("direction must be nonzero")
     d = direction / norm
-    i, j = pair
+    i, j = _check_pair(net, pair)
     if t_max is None:
         t_max = 1e6 * max(1.0, float(np.linalg.norm(x)))
 
@@ -300,7 +307,7 @@ def taylor_estimate(net, x, pair):
     """First-order distance |g| / ||grad g|| and steepest direction to the
     linearized boundary, for g = z_i - z_j."""
     x = np.asarray(x, dtype=np.float64)
-    g, grad = _gap_and_grad(net, x, *pair)
+    g, grad = _gap_and_grad(net, x, *_check_pair(net, pair))
     gnorm = np.linalg.norm(grad)
     if gnorm < 1e-14:
         raise DegenerateGradientError("logit-difference gradient is (near) zero")
@@ -334,7 +341,6 @@ def compare(net, x, pair, opts=None):
     undefined, the solver runs once and beta, directional_ratio and
     angle_deg are NaN.
     """
-    opts = opts or SolveOptions()
     x = np.asarray(x, dtype=np.float64)
     try:
         tay = taylor_estimate(net, x, pair)
@@ -370,8 +376,8 @@ def compare(net, x, pair, opts=None):
     )
 
 
-def check_legitimate_image(point, sel, base_coeffs, tol=1e-6):
-    """Is the pixel-space reconstruction of a feature point within [0, 1]?
+def check_legitimate_image(point, sel, base_coeffs):
+    """Is the pixel-space reconstruction of a feature point within [0, 1] (to PIXEL_TOL)?
 
     The point's feature values replace the selected coefficients of the
     query image's coefficient vector; unselected coefficients keep the
@@ -380,4 +386,4 @@ def check_legitimate_image(point, sel, base_coeffs, tol=1e-6):
     coeffs = scatter_selector(point, sel, base_coeffs)
     pixels = haar3d_inverse(coeffs)
     violation = max(float(np.max(-pixels)), float(np.max(pixels - 1.0)), 0.0)
-    return violation <= tol, violation
+    return violation <= PIXEL_TOL, violation

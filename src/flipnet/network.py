@@ -106,6 +106,16 @@ def softmax_rows(z):
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def cross_entropy(softmax, labels):
+    """-log(softmax[r, labels[r]]) for each row r, clamped at 1e-300; a
+    single row [class_count] and one label give a scalar."""
+    softmax, labels = np.asarray(softmax, dtype=np.float64), np.asarray(labels)
+    if np.any((labels < 0) | (labels >= softmax.shape[-1])):
+        raise InvalidParameterError(f"labels must lie in [0, {softmax.shape[-1]})")
+    p = np.take_along_axis(softmax, labels[..., None], axis=-1)[..., 0]
+    return -np.log(np.maximum(p, 1e-300))
+
+
 def forward_batch(net, X):
     """Logits and per-layer preactivations for a batch of rows.
 

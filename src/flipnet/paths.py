@@ -20,6 +20,8 @@ SAMPLE_CAP = 1_000_000
 CELLS = 64  # equal alpha cells, each with its own slope bound
 CHUNK_ROWS = 2048  # rows per forward_batch call; caps the memory of a pass
 ALPHA_RESOLUTION = 1e-12  # relative; an included alpha replaces grid alphas this close
+SCORE_TOL = 0.01  # the one crossing resolution; only sample_line takes another
+FLIP_OVERSHOOT = 2.0  # profile_to_flip's last alpha; the flip point is at alpha 1
 
 
 @dataclass
@@ -158,7 +160,7 @@ def _insert_alpha(alphas, alpha):
     return np.insert(kept, np.searchsorted(kept, alpha), alpha)
 
 
-def sample_line(net, seg, score_tol=0.01, include=()):
+def sample_line(net, seg, score_tol=SCORE_TOL, include=()):
     """Sample softmax along the segment with certified spacing.
 
     Guarantee: unless capped, the logits of consecutive samples differ by
@@ -204,14 +206,14 @@ def sample_line(net, seg, score_tol=0.01, include=()):
     )
 
 
-def count_crossings(net, seg, score_tol=0.01):
+def count_crossings(net, seg):
     """Refined alphas where the top-two logits tie along the segment."""
-    return sample_line(net, seg, score_tol).crossings
+    return sample_line(net, seg).crossings
 
 
-def profile_to_flip(net, x, flip, overshoot=2.0, score_tol=0.01):
+def profile_to_flip(net, x, flip):
     """Profile from a query through its flip point (alpha = 1) and beyond."""
     if not flip.converged:
         raise InvalidInputError(f"flip result has status {flip.status!r}")
-    seg = LineSegment(np.asarray(x, dtype=np.float64), flip.point, 0.0, overshoot)
-    return sample_line(net, seg, score_tol, include=(1.0,))
+    seg = LineSegment(np.asarray(x, dtype=np.float64), flip.point, 0.0, FLIP_OVERSHOOT)
+    return sample_line(net, seg, include=(1.0,))

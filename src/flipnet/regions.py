@@ -20,8 +20,6 @@ from .paths import LineSegment, count_crossings
 class AdjacencyGraph:
     n_nodes: int
     edges: list  # (u, v) with u < v
-    class_id: int
-    score_tol: float
 
 
 @dataclass
@@ -35,7 +33,7 @@ class RegionReport:
     edges: list = field(default_factory=list)
 
 
-def build_adjacency(net, points, class_id, score_tol=0.01):
+def build_adjacency(net, points, class_id):
     """Edge (u, v) iff the segment between points u and v has no crossing."""
     points = np.asarray(points, dtype=np.float64)
     logits, _ = forward_batch(net, points)
@@ -50,9 +48,9 @@ def build_adjacency(net, points, class_id, score_tol=0.01):
     for u in range(n):
         for v in range(u + 1, n):
             seg = LineSegment(points[u], points[v], 0.0, 1.0)
-            if not count_crossings(net, seg, score_tol):
+            if not count_crossings(net, seg):
                 edges.append((u, v))
-    return AdjacencyGraph(n_nodes=n, edges=edges, class_id=class_id, score_tol=score_tol)
+    return AdjacencyGraph(n_nodes=n, edges=edges)
 
 
 def connected_components(graph):
@@ -64,7 +62,7 @@ def connected_components(graph):
     return count, np.bincount(labels, minlength=count).tolist(), labels.tolist()
 
 
-def region_report(net, features, labels, class_id, score_tol=0.01, max_points=None, seed=0):
+def region_report(net, features, labels, class_id, max_points=None, seed=0):
     """Connectivity report for the correctly-classified points of a class.
 
     fraction_direct is the share of pairs joined by a crossing-free
@@ -86,7 +84,7 @@ def region_report(net, features, labels, class_id, score_tol=0.01, max_points=No
         raise InvalidInputError(
             f"need at least 2 correctly-classified points of class {class_id}, got {keep.size}"
         )
-    graph = build_adjacency(net, features[keep], class_id, score_tol)
+    graph = build_adjacency(net, features[keep], class_id)
     n = graph.n_nodes
     total_pairs = n * (n - 1) // 2
     count, sizes, _ = connected_components(graph)

@@ -9,18 +9,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError, TrainingDivergedError
-from .network import (
-    Layer,
-    Network,
-    activation_erf,
-    activation_erf_deriv,
-    forward_batch,
-    softmax_rows,
-)
+from .network import (Layer, Network, activation_erf, activation_erf_deriv, cross_entropy,
+                      forward_batch, softmax_rows)
 
 SIGMA_FLOOR = 1e-3
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -30,8 +25,6 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 64
     seed: int = 0
-    adam_eps: float = 1e-8
-    train_sigma: bool = True
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -51,22 +44,16 @@ class TrainReport:
     test_accuracy: float = float("nan")
 
 
-def cross_entropy(softmax, label):
-    """-log(softmax[label]), input clamped at 1e-300."""
-    softmax = np.asarray(softmax, dtype=np.float64)
-    if not 0 <= label < softmax.shape[-1]:
-        raise InvalidParameterError(f"label {label} out of range")
-    return -np.log(max(softmax[label], 1e-300))
-
-
-def init_network(layer_sizes, seed=0, sigma=1.0):
-    """Scaled-uniform init, range +-sqrt(6 / (n_in + n_out))."""
+def init_network(layer_sizes, seed=0):
+    """Scaled-uniform init, range +-sqrt(6 / (n_in + n_out)), every sigma 1."""
+    if any(n < 1 for n in layer_sizes):
+        raise InvalidParameterError(f"layer sizes must be >= 1, got {layer_sizes}")
     rng = np.random.default_rng(seed)
     layers = []
     for n_in, n_out in zip(layer_sizes, layer_sizes[1:]):
         limit = np.sqrt(6.0 / (n_in + n_out))
         W = rng.uniform(-limit, limit, size=(n_out, n_in))
-        layers.append(Layer(W, np.zeros(n_out), sigma))
+        layers.append(Layer(W, np.zeros(n_out), 1.0))
     return Network(layers)
 
 
@@ -96,7 +83,7 @@ def _forward_train(net, X, dropout_rate, rng):
     return softmax_rows(a), caches
 
 
-def _backward(net, caches, delta_logits, train_sigma):
+def _backward(net, caches, delta_logits):
     """Gradients of the mean loss wrt every weight, bias and sigma.
 
     delta_logits is d(mean loss)/d(logits) = (softmax - onehot) / batch.
@@ -118,17 +105,14 @@ def _backward(net, caches, delta_logits, train_sigma):
             if mask_prev is not None:
                 g_act = g_act * mask_prev
             dact = activation_erf_deriv(y_prev, prev.sigma)
-            if train_sigma:
-                # d erf(y/s) / ds = -(y / s) * d erf(y/s) / dy
-                sigma_grads[li - 1] = float(
-                    -np.sum(g_act * dact * (y_prev / prev.sigma))
-                )
+            # d erf(y/s) / ds = -(y / s) * d erf(y/s) / dy
+            sigma_grads[li - 1] = float(-np.sum(g_act * dact * (y_prev / prev.sigma)))
             g = g_act * dact
     return out
 
 
 def train(net, features, labels, cfg, test_features=None, test_labels=None):
-    """Minibatch Adam on weights, biases and (optionally) per-layer sigma.
+    """Minibatch Adam on weights, biases and per-layer sigma.
 
     Returns (trained network, TrainReport). Deterministic for a fixed
     config: the shuffle and dropout streams are derived from cfg.seed.
@@ -139,6 +123,8 @@ def train(net, features, labels, cfg, test_features=None, test_labels=None):
         raise InvalidInputError("dataset is empty")
     if features.shape[0] != labels.shape[0]:
         raise InvalidInputError("feature/label counts differ")
+    if labels.min() < 0 or labels.max() >= net.class_count:
+        raise InvalidInputError(f"labels must lie in [0, {net.class_count})")
 
     net = net.copy()
     report = TrainReport()
@@ -156,12 +142,9 @@ def train(net, features, labels, cfg, test_features=None, test_labels=None):
             idx = order[start : start + cfg.batch_size]
             X, y = features[idx], labels[idx]
             probs, caches = _forward_train(net, X, cfg.dropout_rate, rng)
-            batch_loss = float(
-                -np.mean(np.log(np.maximum(probs[np.arange(len(y)), y], 1e-300)))
-            )
-            losses.append(batch_loss * len(y))
+            losses.append(float(np.mean(cross_entropy(probs, y))) * len(y))
             delta = (probs - onehot[y]) / len(y)
-            grads = _backward(net, caches, delta, cfg.train_sigma)
+            grads = _backward(net, caches, delta)
             t += 1
             for layer, layer_grads, layer_moments in zip(net.layers, grads, moments):
                 params = [layer.weights, layer.bias, layer.sigma]
@@ -172,7 +155,7 @@ def train(net, features, labels, cfg, test_features=None, test_labels=None):
                     layer_moments[k] = (m, v)
                     m_hat = m / (1 - ADAM_BETA1**t)
                     v_hat = v / (1 - ADAM_BETA2**t)
-                    step = cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+                    step = cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
                     params[k] = params[k] - step
                 layer.weights, layer.bias, sigma = params
                 layer.sigma = max(float(sigma), SIGMA_FLOOR)

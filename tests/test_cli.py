@@ -327,6 +327,17 @@ class TestRecon:
         assert "kind=InvalidParameterError" in capsys.readouterr().err
         assert not (tmp_path / "recon_errors.csv").exists()
 
+    @pytest.mark.parametrize("k_list, selector", [("5,21", True), ("-2", True), ("9000", False)])
+    def test_k_outside_ranked_coefficients(self, data_dir, trained_dir, tmp_path, capsys,
+                                           k_list, selector):
+        # trained_dir's selector ranks 20 coefficients; an image alone ranks 3072
+        flags = ["--selector", trained_dir / "selector.txt"] if selector else []
+        code = run(["recon", "--data-dir", data_dir, "--k-list", k_list, *flags,
+                    "--out-dir", tmp_path / "out"])
+        assert code == 1
+        assert "kind=InvalidParameterError" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_reads_only_training_batches(self, tmp_path):
         data = tmp_path / "data"
         data.mkdir()
@@ -454,6 +465,14 @@ class TestOptionValues:
                  "--out-dir", tmp_path])
         assert exc.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("hidden", ["-5", "0", "8,0"])
+    def test_hidden_size_below_one(self, data_dir, trained_dir, tmp_path, capsys, hidden):
+        code = run([*command_argv("train", data_dir, trained_dir), "--hidden", hidden,
+                    "--out-dir", tmp_path / "out"])
+        assert code == 1
+        assert "kind=InvalidParameterError" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_empty_hidden_is_no_hidden_layer(self, data_dir, trained_dir, tmp_path):
         assert run([*command_argv("train", data_dir, trained_dir), "--hidden", "",

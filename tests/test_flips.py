@@ -358,6 +358,27 @@ class TestFlipAlongDirection:
             flip_along_direction(net, np.zeros(3), np.zeros(3), (0, 1))
 
 
+class TestClassPair:
+    ENTRY_POINTS = {
+        "closest_flip": lambda net, x, pair: closest_flip(net, x, pair, FAST),
+        "compare": lambda net, x, pair: compare(net, x, pair, FAST),
+        "taylor_estimate": taylor_estimate,
+        "flip_along_direction": lambda net, x, pair: flip_along_direction(net, x, x, pair),
+    }
+
+    @pytest.mark.parametrize("pair", [(1, 1), (0, 5), (-1, 0)])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_every_entry_point_rejects_bad_pair(self, entry, pair):
+        # the README quick-start net
+        rng = np.random.default_rng(0)
+        net = Network([
+            Layer(rng.standard_normal((6, 2)), rng.standard_normal(6), 1.0),
+            Layer(rng.standard_normal((2, 6)), rng.standard_normal(2), 1.0),
+        ])
+        with pytest.raises(InvalidParameterError):
+            self.ENTRY_POINTS[entry](net, np.array([0.3, -0.5]), pair)
+
+
 class TestTaylorEstimate:
     def test_linear_exact(self, rng):
         net = make_linear_net(rng, 6)

@@ -84,14 +84,14 @@ class TestBuildAdjacency:
 class TestConnectedComponents:
     def test_complete_graph(self):
         edges = [(u, v) for u in range(5) for v in range(u + 1, 5)]
-        graph = AdjacencyGraph(5, edges, 0, 0.01)
+        graph = AdjacencyGraph(5, edges)
         count, sizes, _ = connected_components(graph)
         assert count == 1
         assert sizes == [5]
 
     def test_two_triangles(self):
         edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
-        graph = AdjacencyGraph(6, edges, 0, 0.01)
+        graph = AdjacencyGraph(6, edges)
         count, sizes, labels = connected_components(graph)
         assert count == 2
         assert sorted(sizes) == [3, 3]
@@ -106,7 +106,7 @@ class TestConnectedComponents:
                 for v in range(u + 1, n):
                     if rng.random() < 0.05:
                         edges.append((u, v))
-            graph = AdjacencyGraph(n, edges, 0, 0.01)
+            graph = AdjacencyGraph(n, edges)
             count, sizes, labels = connected_components(graph)
             oracle = transitive_closure_components(n, edges)
             assert count == len(oracle)
@@ -116,11 +116,11 @@ class TestConnectedComponents:
     def test_adding_edge_never_splits(self, rng):
         n = 12
         edges = [(0, 1), (2, 3), (4, 5)]
-        graph = AdjacencyGraph(n, list(edges), 0, 0.01)
+        graph = AdjacencyGraph(n, list(edges))
         prev_count, _, _ = connected_components(graph)
         for extra in [(1, 2), (3, 4), (6, 7), (0, 11)]:
             edges.append(extra)
-            count, _, _ = connected_components(AdjacencyGraph(n, list(edges), 0, 0.01))
+            count, _, _ = connected_components(AdjacencyGraph(n, list(edges)))
             assert count <= prev_count
             prev_count = count
 

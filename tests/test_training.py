@@ -6,7 +6,7 @@ import pytest
 from flipnet import Layer, Network, cross_entropy, evaluate_accuracy, forward, train
 from flipnet.errors import InvalidInputError, InvalidParameterError
 from flipnet.network import softmax_rows
-from flipnet.training import SIGMA_FLOOR, TrainConfig, init_network
+from flipnet.training import ADAM_EPS, SIGMA_FLOOR, TrainConfig, init_network
 
 
 def blobs(rng, n=200, sep=4.0):
@@ -33,6 +33,17 @@ class TestCrossEntropy:
     def test_invalid_label(self):
         with pytest.raises(InvalidParameterError):
             cross_entropy(np.array([0.5, 0.5]), 2)
+
+    def test_rows_match_single_rows(self, rng):
+        softmax = softmax_rows(rng.standard_normal((5, 3)))
+        labels = np.array([0, 2, 1, 1, 0])
+        rows = cross_entropy(softmax, labels)
+        assert rows.shape == (5,)
+        for r in range(5):
+            assert rows[r] == cross_entropy(softmax[r], labels[r])
+        assert np.ndim(cross_entropy(softmax[0], 0)) == 0
+        with pytest.raises(InvalidParameterError):
+            cross_entropy(softmax, np.array([0, 2, 1, 3, 0]))
 
     def test_gradient_wrt_logits_finite_difference(self, rng):
         z = rng.standard_normal(4)
@@ -80,11 +91,8 @@ class TestTrain:
         net = Network([Layer(W.copy(), b.copy(), 1.0)])
         x = np.array([[2.0]])
         y = np.array([0])
-        lr, eps = 0.01, 1e-8
-        cfg = TrainConfig(
-            learning_rate=lr, dropout_rate=0.0, epochs=1, batch_size=1,
-            seed=0, adam_eps=eps, train_sigma=False,
-        )
+        lr, eps = 0.01, ADAM_EPS
+        cfg = TrainConfig(learning_rate=lr, dropout_rate=0.0, epochs=1, batch_size=1, seed=0)
         trained, _ = train(net, x, y, cfg)
 
         z = W[:, 0] * 2.0 + b
@@ -124,9 +132,20 @@ class TestTrain:
         X, y = blobs(rng)
         net = init_network([2, 8, 2], seed=10)
         on, _ = train(net, X, y, TrainConfig(epochs=5, dropout_rate=0.0, seed=1))
-        off, _ = train(net, X, y, TrainConfig(epochs=5, dropout_rate=0.0, seed=1, train_sigma=False))
         assert on.layers[0].sigma != 1.0
-        assert off.layers[0].sigma == 1.0
+
+    @pytest.mark.parametrize("bad", [-1, 2, 5])
+    def test_label_outside_classes(self, rng, bad):
+        # numpy would wrap -1 to the last class and fail on 5 with a raw IndexError
+        X, y = blobs(rng)
+        y[3] = bad
+        with pytest.raises(InvalidInputError):
+            train(init_network([2, 8, 2], seed=0), X, y, TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("sizes", [[2, 0, 2], [2, -5, 2], [0, 2]])
+    def test_layer_size_below_one(self, sizes):
+        with pytest.raises(InvalidParameterError):
+            init_network(sizes)
 
     def test_empty_dataset(self):
         net = init_network([2, 2], seed=0)
