@@ -309,7 +309,8 @@ def cmd_path(args):
               [(a, *row) for a, row in zip(profile.alphas, profile.softmax_scores)])
     cross_path = os.path.join(args.out_dir, "path_crossings.csv")
     write_csv(cross_path, ["alpha"], [(c,) for c in profile.crossings])
-    write_manifest(args, [out_path, cross_path])
+    write_manifest(args, [out_path, cross_path],
+                   {"capped": int(profile.capped), "crossings": len(profile.crossings)})
 
 
 def cmd_regions(args):
@@ -403,7 +404,7 @@ def build_parser():
     p = command("recon", "reconstructions from coefficient subsets", "--data-dir")
     p.add_argument("--classes", type=int_list, default="0,8")
     p.add_argument("--index", type=int, default=0)
-    p.add_argument("--k-list", type=int_list, default="200,500,1000,2200")
+    p.add_argument("--k-list", type=int_list, default="50,100,200")
     p.add_argument("--selector")
 
     p = command("flip", "closest flip points for a feature set", "--checkpoint", "--features")

@@ -252,8 +252,7 @@ def closest_flip(net, x, pair, opts=None):
 def flip_along_direction(net, x, direction, pair, t_max=None):
     """First boundary crossing along a ray, by doubling bracket + Brent's method.
 
-    The only ray search: the solver's polish and the line-crossing
-    refinement in paths call it too. Doubling starts at min(1e-4, t_max)
+    The solver's polish calls it too. Doubling starts at min(1e-4, t_max)
     and never probes past t_max; Brent's method (scipy's brentq) shrinks
     the bracket to 1e-12 * max(1, t). With no sign change up to t_max
     (default 1e6 * max(1, ||x||)) the result is the point at t_max, with

@@ -1,26 +1,25 @@
-"""Softmax profiles along lines between points.
+"""Boundary crossings and softmax profiles along lines between points.
 
-Samples are spaced by a certified local bound on the logits' slope
-along the segment: interval bounds on every layer's preactivations and
-their slopes, per cell of the segment. Between consecutive samples the
-logits provably change by at most score_tol. Boundary crossings (argmax
-changes) are refined by the ray search in flips.
+Both rest on interval bounds on the logits' slope per cell of a segment:
+count_crossings certifies each cell's crossings, and sample_line spaces
+samples so that consecutive logits provably differ by at most score_tol.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 
-from .errors import InvalidInputError, InvalidParameterError
-from .flips import STATUS_BRACKET_FAILED, flip_along_direction
+from .errors import FlipnetError, InvalidInputError, InvalidParameterError
 from .network import (activation_erf, activation_erf_deriv, forward_batch, softmax_rows,
                       spectral_norm)
 
 SAMPLE_CAP = 1_000_000
 CELLS = 64  # equal alpha cells, each with its own slope bound
 CHUNK_ROWS = 2048  # rows per forward_batch call; caps the memory of a pass
-ALPHA_RESOLUTION = 1e-12  # relative; an included alpha replaces grid alphas this close
-SCORE_TOL = 0.01  # the one crossing resolution; only sample_line takes another
+ROOT_CELLS = 8  # equal alpha cells that root isolation starts from
+MAX_ROUNDS = 60  # bisection rounds before a segment's crossings are undecided
+SCORE_TOL = 0.01  # default spacing of a profile's logits
 FLIP_OVERSHOOT = 2.0  # profile_to_flip's last alpha; the flip point is at alpha 1
 
 
@@ -61,24 +60,8 @@ class PathProfile:
     capped: bool = False  # sample cap hit; spacing guarantee void
 
 
-def _refine_crossing(net, seg, a_lo, a_hi, ci, cj):
-    """Alpha of the logit tie z_ci = z_cj between two bracketing alphas."""
-    x_lo = seg.at(a_lo)
-    step = seg.at(a_hi) - x_lo
-    length = float(np.linalg.norm(step))
-    if length == 0.0:
-        # Both alphas round to the same point, so the tie is there; the
-        # argmaxes differ only through the rounding of two passes.
-        return a_lo
-    tie = flip_along_direction(net, x_lo, step, (ci, cj), t_max=length)
-    if tie.status == STATUS_BRACKET_FAILED:
-        # The ends' single-row gaps share a sign, so the batched pass put
-        # one end across a tie that sits at that end: keep the end whose
-        # single-row gap is smaller.
-        gaps = [abs(z[ci] - z[cj]) for z in
-                (forward_batch(net, seg.at(a)[None, :])[0][0] for a in (a_lo, a_hi))]
-        return a_lo if gaps[0] <= gaps[1] else a_hi
-    return a_lo + (a_hi - a_lo) * (tie.distance / length)
+def _logits_at(net, seg, alphas):
+    return forward_batch(net, (1.0 - alphas)[:, None] * seg.x1 + alphas[:, None] * seg.x2)[0]
 
 
 def _interval_affine(weights, bias, lo, hi):
@@ -88,30 +71,27 @@ def _interval_affine(weights, bias, lo, hi):
     return mid - rad, mid + rad
 
 
-def _cell_slopes(net, seg, edges):
-    """Upper bounds on ||dz/dalpha||_2 on each cell [edges[c], edges[c + 1]].
+def _input_slopes(net, seg, lo, hi):
+    """Intervals [d_lo, d_hi] ([cells, n_in]) on d/dalpha of the last layer's input
+    on cells [lo, hi], and a spectral-norm chain bound on its 2-norm.
 
-    Interval bound propagation (Gowal et al., 2018) of the pair (hidden
-    preactivation y, dy/dalpha) through every layer, per cell. Layer-1
-    preactivations are affine in alpha, so their range on a cell is
-    exact and their slope is W1 (x2 - x1). A hidden unit's erf slope on
+    Interval bound propagation (Gowal et al., 2018) of (preactivation y,
+    dy/dalpha); y is affine in alpha at layer 1. A unit's erf slope on
     [y_lo, y_hi] lies between its values at the ends farthest from and
-    nearest to zero (the local bound of Hein & Andriushchenko, 2017);
-    that interval times the slope interval bounds the activation's
-    slope, and erf of the ends bounds its value. A layer maps interval
-    midpoints through W and radii through |W|, so sign cancellation
-    between units is kept. The bound is the 2-norm of the logit slopes'
-    largest magnitudes, or the spectral-norm chain if smaller. No cell
-    bound exceeds lipschitz_bound(net) * ||x2 - x1||.
+    nearest to zero (Hein & Andriushchenko, 2017); that range scales the
+    slope interval, and erf of the ends bounds the value. A layer maps
+    interval midpoints through W and radii through |W|, so opposite
+    slopes cancel.
     """
-    first = net.layers[0]
-    slope = first.weights @ (seg.x2 - seg.x1)
+    step = seg.x2 - seg.x1
     if len(net.layers) == 1:
-        return np.full(len(edges) - 1, np.linalg.norm(slope))
+        d = np.broadcast_to(step, (len(lo), len(step)))
+        return d, d, np.full(len(lo), np.linalg.norm(step))
+    first = net.layers[0]
+    slope = first.weights @ step
     offset = first.weights @ seg.x1 + first.bias
-    lo = offset + edges[:-1, None] * slope
-    hi = offset + edges[1:, None] * slope
-    y_lo, y_hi = np.minimum(lo, hi), np.maximum(lo, hi)
+    y_lo, y_hi = offset + lo[:, None] * slope, offset + hi[:, None] * slope
+    y_lo, y_hi = np.minimum(y_lo, y_hi), np.maximum(y_lo, y_hi)
     d_lo = d_hi = np.broadcast_to(slope, y_lo.shape)
     norm = None  # spectral-norm chain on the 2-norm of the activations' slopes
     for layer, nxt in zip(net.layers, net.layers[1:]):
@@ -123,92 +103,127 @@ def _cell_slopes(net, seg, edges):
             norm = np.linalg.norm(np.maximum(-d_lo, d_hi), axis=1)
         else:
             norm = activation_erf_deriv(0.0, layer.sigma) * norm
+        if nxt is net.layers[-1]:
+            return d_lo, d_hi, norm
         norm = spectral_norm(nxt.weights) * norm
         d_lo, d_hi = _interval_affine(nxt.weights, 0.0, d_lo, d_hi)
         y_lo, y_hi = _interval_affine(nxt.weights, nxt.bias, activation_erf(y_lo, layer.sigma),
                                       activation_erf(y_hi, layer.sigma))
-    return np.minimum(norm, np.linalg.norm(np.maximum(-d_lo, d_hi), axis=1))
 
 
-def _sample_alphas(net, seg, score_tol):
-    """Sample alphas whose steps each integrate the slope bound to <= score_tol.
+def _cell_slopes(net, seg, edges):
+    """Upper bounds on ||dz/dalpha||_2 on each cell [edges[c], edges[c + 1]], at most
+    lipschitz_bound(net) * ||x2 - x1||: _input_slopes through the last layer."""
+    last = net.layers[-1].weights
+    d_lo, d_hi, norm = _input_slopes(net, seg, edges[:-1], edges[1:])
+    d_lo, d_hi = _interval_affine(last, 0.0, d_lo, d_hi)
+    return np.minimum(spectral_norm(last) * norm, np.linalg.norm(np.maximum(-d_lo, d_hi), axis=1))
 
-    Returns (alphas, capped). Past SAMPLE_CAP samples the grid is
-    uniform and capped is True.
+
+def _refine(net, seg, a, b, c, k, g_a, g_b):
+    """Root of z_c - z_k in [a, b] by Brent's method, to 1e-12 relative; the cell's
+    end values g_a >= 0 > g_b are seeded into the search, so the bracket holds."""
+    def gap(alpha):
+        if alpha in (a, b):
+            return g_a if alpha == a else g_b
+        z = forward_batch(net, seg.at(alpha)[None, :])[0][0]
+        return z[c] - z[k]
+
+    return brentq(gap, a, b, xtol=1e-12 * max(1.0, abs(b)), rtol=4 * np.finfo(float).eps)
+
+
+def count_crossings(net, seg):
+    """Sorted alphas where the top class (argmax, lowest index on ties) changes.
+
+    Interval bisection with a monotonicity test (Moore, 1966) from
+    ROOT_CELLS equal cells. On a cell with top class c at its left end,
+    gap g_k = z_c - z_k is root-free if monotone and >= 0 at the right
+    end, or if its mean-value lower bound beats a rounding margin. Such
+    a cell holds a crossing only at its right end, where the argmax may
+    not be c; a cell with one other gap, falling monotonically below 0,
+    holds one (_refine); the rest are halved. A class repeating an
+    earlier one's output row never leads. Raises FlipnetError past
+    CHUNK_ROWS cells in a round or MAX_ROUNDS rounds.
     """
-    edges = np.linspace(seg.alpha_min, seg.alpha_max, CELLS + 1)
-    F = np.concatenate([[0.0], np.cumsum(_cell_slopes(net, seg, edges) * np.diff(edges))])
-    count = max(np.ceil(F[-1] / score_tol) + 1, 2)
-    if count > SAMPLE_CAP:
-        return np.linspace(seg.alpha_min, seg.alpha_max, SAMPLE_CAP), True
-    alphas = np.interp(np.linspace(0.0, F[-1], int(count)), F, edges)
-    # F is flat where a cell's bound is zero, and there interp may pick
-    # any alpha of the flat stretch for the first or last level
-    alphas[[0, -1]] = edges[[0, -1]]
-    return alphas, False
-
-
-def _insert_alpha(alphas, alpha):
-    """Sorted alphas with alpha added, in place of those within ALPHA_RESOLUTION.
-
-    An included alpha is often a flip point, so a grid alpha a few ulps
-    from it sits on the same logit tie; the passes over the two round
-    the tie to different argmaxes, which would read as an extra pair of
-    crossings.
-    """
-    kept = alphas[np.abs(alphas - alpha) > ALPHA_RESOLUTION * max(1.0, abs(alpha))]
-    return np.insert(kept, np.searchsorted(kept, alpha), alpha)
+    weights = net.layers[-1].weights
+    rows = np.column_stack([weights, net.layers[-1].bias]).tolist()
+    repeats = [row in rows[:k] for k, row in enumerate(rows)]
+    edges = np.linspace(seg.alpha_min, seg.alpha_max, ROOT_CELLS + 1)
+    z = _logits_at(net, seg, edges)
+    lo, hi, z_lo, z_hi = edges[:-1], edges[1:], z[:-1], z[1:]
+    crossings = []
+    for _ in range(MAX_ROUNDS):
+        tops, cell = np.argmax(z_lo, axis=1), np.arange(len(lo))
+        g_lo, g_hi = (end[cell, tops][:, None] - end for end in (z_lo, z_hi))
+        # slope of g_k through the row difference W_c - W_k, so equal rows give [0, 0]
+        d_lo, d_hi, _ = _input_slopes(net, seg, lo, hi)
+        s_lo, s_hi = np.empty((2, len(lo), net.class_count))
+        for k, row in enumerate(weights):
+            diff = weights[tops] - row
+            s_mid = np.einsum("ij,ij->i", (d_lo + d_hi) / 2, diff)
+            s_rad = np.einsum("ij,ij->i", (d_hi - d_lo) / 2, np.abs(diff))
+            s_lo[:, k], s_hi[:, k] = s_mid - s_rad, s_mid + s_rad
+        # mean-value bound: g >= g_lo - fall * (t - lo) and g >= g_hi - rise * (hi - t)
+        fall, rise, w = np.maximum(-s_lo, 0.0), np.maximum(s_hi, 0.0), (hi - lo)[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.clip((g_lo - g_hi + rise * w) / (fall + rise), 0.0, w)
+        floor = np.maximum(g_lo - fall * t, g_hi - rise * (w - t))
+        z_max = np.maximum(np.abs(z_lo).max(axis=1), np.abs(z_hi).max(axis=1))[:, None]
+        open_ = ~((s_lo >= 0) | ((s_hi <= 0) & (g_hi >= 0))
+                  | (floor > 1e-12 * (z_max + np.maximum(fall, rise) * w)))
+        open_[:, repeats] = False
+        one = (open_.sum(axis=1) == 1) & np.any(open_ & (g_hi < 0) & (s_hi <= 0), axis=1)
+        for i in np.nonzero(one)[0]:
+            k = np.argmax(open_[i])
+            crossings.append(_refine(net, seg, lo[i], hi[i], tops[i], k, g_lo[i, k], g_hi[i, k]))
+        done = ~open_.any(axis=1)
+        crossings += hi[done & (np.argmax(z_hi, axis=1) != tops)].tolist()
+        split = ~done & ~one
+        lo, hi, z_lo, z_hi = lo[split], hi[split], z_lo[split], z_hi[split]
+        if not 0 < len(lo) <= CHUNK_ROWS // 2:
+            break
+        mid = (lo + hi) / 2
+        z_mid = _logits_at(net, seg, mid)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        z_lo, z_hi = np.concatenate([z_lo, z_mid]), np.concatenate([z_mid, z_hi])
+    if len(lo):
+        raise FlipnetError(f"crossings undecided on alpha cells from {np.sort(lo)[:5].tolist()}")
+    return sorted(crossings)
 
 
 def sample_line(net, seg, score_tol=SCORE_TOL, include=()):
-    """Sample softmax along the segment with certified spacing.
+    """Sample softmax along the segment with certified spacing; crossings are count_crossings'.
 
     Guarantee: unless capped, the logits of consecutive samples differ by
     at most score_tol in 2-norm. Alpha is split into CELLS equal cells,
     each with an upper bound on the logits' slope (_cell_slopes);
-    samples sit at equal steps of the bound's integral, so steps are
-    short where the network can change fast and long elsewhere, and the
-    alphas are not uniform. Past SAMPLE_CAP samples the grid is uniform
-    and the profile is marked capped. Extra alphas in `include` are
-    inserted into the grid, in place of any grid alpha within
-    ALPHA_RESOLUTION of them. Samples are evaluated CHUNK_ROWS at a time.
-    Crossings are refined argmax changes between consecutive samples.
+    samples sit at equal steps of the bound's integral, so the alphas
+    are not uniform. Past SAMPLE_CAP samples the grid is uniform and
+    the profile is capped. Alphas in `include` are added. Samples are
+    evaluated CHUNK_ROWS at a time.
     """
     if not 0.0 < score_tol < np.inf:
         raise InvalidParameterError(f"score_tol must be positive and finite, got {score_tol}")
-    alphas, capped = _sample_alphas(net, seg, score_tol)
-    for a in include:
-        if seg.alpha_min <= a <= seg.alpha_max:
-            alphas = _insert_alpha(alphas, a)
+    edges = np.linspace(seg.alpha_min, seg.alpha_max, CELLS + 1)
+    F = np.concatenate([[0.0], np.cumsum(_cell_slopes(net, seg, edges) * np.diff(edges))])
+    count = max(np.ceil(F[-1] / score_tol) + 1, 2)
+    capped = bool(count > SAMPLE_CAP)
+    if capped:
+        alphas = np.linspace(seg.alpha_min, seg.alpha_max, SAMPLE_CAP)
+    else:
+        alphas = np.interp(np.linspace(0.0, F[-1], int(count)), F, edges)
+        # F is flat where a cell's bound is zero, and there interp may
+        # pick any alpha of the stretch for the first or last level
+        alphas[[0, -1]] = edges[[0, -1]]
+    alphas = np.union1d(alphas, [a for a in include if seg.alpha_min <= a <= seg.alpha_max])
     logits = np.empty((len(alphas), net.class_count))
     for start in range(0, len(alphas), CHUNK_ROWS):
-        a = alphas[start:start + CHUNK_ROWS]
-        points = (1.0 - a)[:, None] * seg.x1 + a[:, None] * seg.x2
-        logits[start:start + len(a)] = forward_batch(net, points)[0]
-    # Grid rows at the canonical endpoints are recomputed one-by-one so
-    # they match single-point forward() evaluations bit-for-bit (batched
-    # BLAS may round differently).
+        logits[start:start + CHUNK_ROWS] = _logits_at(net, seg, alphas[start:start + CHUNK_ROWS])
+    # rows at alpha 0 and 1 are redone alone: batched BLAS may round unlike forward()
     for t in np.nonzero((alphas == 0.0) | (alphas == 1.0))[0]:
         logits[t] = forward_batch(net, seg.at(alphas[t])[None, :])[0][0]
-    scores = softmax_rows(logits)
-
-    tops = np.argmax(logits, axis=1)
-    crossings = [
-        _refine_crossing(net, seg, alphas[t], alphas[t + 1], tops[t], tops[t + 1])
-        for t in np.nonzero(tops[1:] != tops[:-1])[0]
-    ]
-    return PathProfile(
-        alphas=alphas,
-        softmax_scores=scores,
-        logits=logits,
-        crossings=crossings,
-        capped=capped,
-    )
-
-
-def count_crossings(net, seg):
-    """Refined alphas where the top-two logits tie along the segment."""
-    return sample_line(net, seg).crossings
+    return PathProfile(alphas=alphas, softmax_scores=softmax_rows(logits), logits=logits,
+                       crossings=count_crossings(net, seg), capped=capped)
 
 
 def profile_to_flip(net, x, flip):

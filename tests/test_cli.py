@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flipnet import Layer, Network, SolveOptions, flips, load_checkpoint, save_checkpoint
+from flipnet import Layer, Network, SolveOptions, flips, load_checkpoint, paths, save_checkpoint
 from flipnet.cli import build_parser, derived_seed, main, read_config, write_csv
 from conftest import write_synth_cifar
 
@@ -317,8 +317,37 @@ class TestPath:
         assert "kind=InvalidInputError" in capsys.readouterr().err
         assert not (tmp_path / "path_profile.csv").exists()
 
+    def test_manifest_records_cap_and_crossings(self, trained_dir, tmp_path, monkeypatch):
+        def path_run(out_dir):
+            assert run(["path", "--checkpoint", trained_dir / "checkpoint.bin",
+                        "--features", trained_dir / "test_features.csv",
+                        "--id1", 0, "--id2", 1, "--out-dir", out_dir]) == 0
+            lines = (out_dir / "manifest_path.txt").read_text().splitlines()
+            crossings = len((out_dir / "path_crossings.csv").read_text().splitlines()) - 1
+            assert f"result.crossings = {crossings}" in lines
+            return lines
+
+        free = path_run(tmp_path / "free")
+        monkeypatch.setattr(paths, "SAMPLE_CAP", 3)
+        capped = path_run(tmp_path / "capped")
+        assert "result.capped = 0" in free and "result.capped = 1" in capped
+        assert len((tmp_path / "capped" / "path_profile.csv").read_text().splitlines()) == 4
+        assert free[:2] == capped[:2]  # command and config_hash
+        # crossings do not depend on the profile's samples
+        assert [l for l in free if "crossings" in l] == [l for l in capped if "crossings" in l]
+
 
 class TestRecon:
+    def test_defaults_after_default_prepare(self, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        write_synth_cifar(data, n_train=200, n_test=4, seed=3)
+        assert run(["prepare", "--data-dir", data, "--out-dir", tmp_path]) == 0
+        assert run(["recon", "--data-dir", data, "--selector", tmp_path / "selector.txt",
+                    "--out-dir", tmp_path]) == 0
+        rows = (tmp_path / "recon_errors.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in rows] == ["k", "50", "100", "200"]
+
     @pytest.mark.parametrize("index", [80, 5000, -1])
     def test_index_outside_training_images(self, data_dir, tmp_path, capsys, index):
         code = run(["recon", "--data-dir", data_dir, "--index", index,

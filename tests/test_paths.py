@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import erfinv
 
 from flipnet import (
     Layer,
@@ -14,9 +15,10 @@ from flipnet import (
     profile_to_flip,
     sample_line,
 )
-from flipnet.errors import InvalidInputError, InvalidParameterError
+from flipnet import paths
+from flipnet.errors import FlipnetError, InvalidInputError, InvalidParameterError
 from flipnet.network import activation_erf_deriv, lipschitz_bound, logits_batch, spectral_norm
-from flipnet.paths import _cell_slopes, _refine_crossing
+from flipnet.paths import _cell_slopes
 from conftest import dense_crossing_count, make_bump_net, make_linear_net, make_random_net
 
 
@@ -242,26 +244,61 @@ class TestCountCrossings:
             found = count_crossings(net, LineSegment(x1, x2))
             assert len(found) == dense_crossing_count(net, x1, x2)
 
-    def test_zero_length_bracket_not_refined(self, rng):
-        # two alphas that round to the same point: no ray to search
-        net = make_linear_net(rng, 3)
-        seg = LineSegment(rng.uniform(1, 2, 3), rng.uniform(1, 2, 3))
-        assert np.array_equal(seg.at(0.0), seg.at(1e-300))
-        assert _refine_crossing(net, seg, 0.0, 1e-300, 0, 1) == 0.0
+    @pytest.mark.parametrize("peak", [1e-4, 1e-5])
+    def test_shallow_slab_both_crossings(self, peak):
+        # the gap rises above zero by only `peak` inside the slab, far
+        # less than a profile's spacing of the logits
+        net = make_bump_net(width=0.1 * erfinv((1 + peak) / 2), sharpness=0.1)
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            x1 = np.array([rng.uniform(-3, -1), rng.uniform(-2, 2)])
+            x2 = np.array([rng.uniform(1, 3), rng.uniform(-2, 2)])
+            assert len(count_crossings(net, LineSegment(x1, x2))) == 2
 
-    @pytest.mark.parametrize("a_lo, a_hi", [(1.0000000000000002, 1.0031446540880504),
-                                            (0.9968553459119496, 1.0)],
-                             ids=["tie-at-near-end", "tie-at-far-end"])
-    def test_bracket_without_sign_change(self, a_lo, a_hi):
-        # the single-row gaps at the two ends share a sign (a batched pass
-        # can round an end that sits on the tie at alpha 1 across it), so
-        # the ray search finds no sign change: the end nearer the tie wins
-        rng = np.random.default_rng(159)
-        net = make_linear_net(rng, 4)
-        x = rng.standard_normal(4)
-        flip = closest_flip(net, x, (0, 1), SolveOptions(restarts=0))
-        seg = LineSegment(x, flip.point, 0.0, 2.0)
-        assert abs(_refine_crossing(net, seg, a_lo, a_hi, 0, 1) - 1.0) <= 1e-9
+    @pytest.mark.parametrize("classes", [3, 4])
+    def test_multiclass_counts_match_dense_oracle(self, rng, classes):
+        for _ in range(3):
+            net = make_random_net(rng, [2, 8, classes], scale=1.5)
+            for _ in range(25):
+                x1, x2 = rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2)
+                found = count_crossings(net, LineSegment(x1, x2))
+                assert len(found) == dense_crossing_count(net, x1, x2)
+
+    @pytest.mark.parametrize("x1, x2", [(-1.0, 1.0), (1.0, -1.0)],
+                             ids=["to-class-0", "to-class-1"])
+    def test_exact_tie_at_cell_end_counted_once(self, x1, x2):
+        # z_0 - z_1 = 2x is exactly zero at alpha 0.5, an end of two cells
+        net = Network([Layer(np.array([[1.0], [-1.0]]), np.zeros(2), 1.0)])
+        assert count_crossings(net, LineSegment([x1], [x2])) == [0.5]
+
+    def test_identical_output_rows_bounded(self, rng):
+        # the gap of two identical rows is zero everywhere, and so is its slope
+        tracemalloc.start()
+        try:
+            net = make_random_net(rng, [2, 6, 2], scale=1.5)
+            net.layers[-1].weights[1] = net.layers[-1].weights[0]
+            net.layers[-1].bias[1] = net.layers[-1].bias[0]
+            assert count_crossings(net, LineSegment(rng.standard_normal(2),
+                                                    rng.standard_normal(2))) == []
+            net = make_random_net(rng, [2, 6, 3], scale=1.5)
+            net.layers[-1].weights[2] = net.layers[-1].weights[1]
+            net.layers[-1].bias[2] = net.layers[-1].bias[1]
+            for _ in range(10):
+                x1, x2 = rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2)
+                found = count_crossings(net, LineSegment(x1, x2))
+                assert len(found) == dense_crossing_count(net, x1, x2, step=1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("limit", ["MAX_ROUNDS", "CHUNK_ROWS"])
+    def test_undecided_raises(self, monkeypatch, limit):
+        # both crossings of the slab lie in one of the first cells
+        monkeypatch.setattr(paths, limit, 1)
+        net = make_bump_net(width=0.05, sharpness=0.01)
+        with pytest.raises(FlipnetError, match="undecided"):
+            count_crossings(net, LineSegment([-0.1, 0.0], [1.5, 0.0]))
 
     def test_refined_crossing_residual(self, rng):
         net = make_random_net(rng, [2, 6, 2], scale=1.5)
