@@ -23,7 +23,6 @@ from .network import (
 from .features import (
     haar3d_forward,
     haar3d_inverse,
-    qr_pivoted,
     select_coefficients,
     apply_selector,
     scatter_selector,

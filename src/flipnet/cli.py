@@ -127,16 +127,17 @@ def _load_train_batches(data_dir, keep_classes):
             np.concatenate([labs for _, labs in batches]))
 
 
-def _coeff_matrix(images):
-    return np.stack([feat.haar3d_forward(img) for img in images])
+def _array_sha256(a):
+    """Digest of a float64 array's little-endian bytes, in C order."""
+    return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8")).hexdigest()
 
 
 def cmd_prepare(args):
     train_imgs, train_labels = _load_train_batches(args.data_dir, args.classes)
-    train_coeffs = _coeff_matrix(train_imgs)
+    train_coeffs = feat.haar3d_forward(train_imgs)
     test_imgs, test_labels = _load_batch(os.path.join(args.data_dir, "test_batch.bin"),
                                          args.classes)
-    test_coeffs = _coeff_matrix(test_imgs)
+    test_coeffs = feat.haar3d_forward(test_imgs)
     sel = feat.select_coefficients(train_coeffs, args.k)
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -146,7 +147,11 @@ def cmd_prepare(args):
     test_path = os.path.join(args.out_dir, "test_features.csv")
     _save_features_csv(train_path, train_coeffs[:, sel.indices], train_labels)
     _save_features_csv(test_path, test_coeffs[:, sel.indices], test_labels)
-    write_manifest(args, [sel_path, train_path, test_path])
+    # coefficient digests before selection: two hosts whose selectors
+    # differ can tell a Haar difference from a pivot difference
+    write_manifest(args, [sel_path, train_path, test_path],
+                   {"train_coeffs_sha256": _array_sha256(train_coeffs),
+                    "test_coeffs_sha256": _array_sha256(test_coeffs)})
 
 
 def cmd_train(args):
@@ -227,7 +232,7 @@ def _paired_test_coeffs(X, count, sel, data_dir, keep):
         raise InvalidInputError(
             f"features have {count} rows but the test batch has {len(images)} images"
         )
-    coeffs = _coeff_matrix(images[:count])
+    coeffs = feat.haar3d_forward(images[:count])
     for q in range(count):
         expected = coeffs[q, sel.indices]
         if np.linalg.norm(X[q] - expected) > 1e-12 * np.linalg.norm(expected):

@@ -1,15 +1,16 @@
-"""Wavelet features: multilevel 3D Haar transform, pivoted-QR coefficient
-selection, and CIFAR-10 binary ingestion restricted to two classes.
+"""Wavelet features: multilevel 3D Haar transform, greedy column-pivot
+coefficient selection, and CIFAR-10 binary ingestion restricted to two
+classes.
 
 Images are 32x32x3 in [0, 1]. The channel axis is zero-padded to 4 so
 the volume is dyadic (32*32*4 = 4096 coefficients); the padded transform
-stays orthonormal.
+stays orthonormal. Coefficient positions are ranked by k steps of greedy
+column pivoting, which give the first k pivots of LAPACK's geqp3.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import FormatError, InvalidInputError, InvalidParameterError, ShapeError
 
@@ -17,17 +18,9 @@ IMAGE_SHAPE = (32, 32, 3)
 PADDED_SHAPE = (32, 32, 4)
 COEFF_COUNT = 4096
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3 * 1024 pixel bytes
+HAAR_CHUNK = 256  # images per batched Haar pass; bounds the temporaries
 
 _SQRT2 = np.sqrt(2.0)
-
-
-def _check_image(image):
-    image = np.asarray(image, dtype=np.float64)
-    if image.shape != IMAGE_SHAPE:
-        raise ShapeError(f"expected image shape {IMAGE_SHAPE}, got {image.shape}")
-    if not np.all(np.isfinite(image)):
-        raise InvalidInputError("image contains non-finite values")
-    return image
 
 
 def _level_plan():
@@ -72,21 +65,33 @@ def _haar_axis_inverse(region, axis):
     return out
 
 
-def haar3d_forward(image):
-    """Full multilevel orthonormal Haar transform of a zero-padded image.
+def haar3d_forward(images):
+    """Full multilevel orthonormal Haar transform of zero-padded images.
 
-    Returns the flattened [4096] coefficient vector; energy-preserving
-    on the padded volume.
+    Takes one image [32, 32, 3] or a stack [..., 32, 32, 3] and returns
+    the flattened coefficients [..., 4096]; energy-preserving on the
+    padded volume. Each pass of elementwise ops takes up to HAAR_CHUNK
+    images and does each image's single-image arithmetic, so every row
+    equals the single-image transform bit for bit.
     """
-    image = _check_image(image)
-    vol = np.zeros(PADDED_SHAPE)
-    vol[:, :, :3] = image
-    for sizes, axes in _PLAN:
-        region = vol[: sizes[0], : sizes[1], : sizes[2]]
-        for ax in axes:
-            region = _haar_axis_forward(region, ax)
-        vol[: sizes[0], : sizes[1], : sizes[2]] = region
-    return vol.ravel().copy()
+    images = np.asarray(images, dtype=np.float64)
+    if images.shape[-3:] != IMAGE_SHAPE:
+        raise ShapeError(f"expected image shape [..., 32, 32, 3], got {images.shape}")
+    if not np.all(np.isfinite(images)):
+        raise InvalidInputError("image contains non-finite values")
+    flat = images.reshape((-1,) + IMAGE_SHAPE)
+    out = np.empty((len(flat), COEFF_COUNT))
+    for start in range(0, len(flat), HAAR_CHUNK):
+        chunk = flat[start:start + HAAR_CHUNK]
+        vol = np.zeros((len(chunk),) + PADDED_SHAPE)
+        vol[..., :3] = chunk
+        for sizes, axes in _PLAN:
+            region = vol[:, : sizes[0], : sizes[1], : sizes[2]]
+            for ax in axes:
+                region = _haar_axis_forward(region, ax + 1)
+            vol[:, : sizes[0], : sizes[1], : sizes[2]] = region
+        out[start:start + len(chunk)] = vol.reshape(len(chunk), COEFF_COUNT)
+    return out.reshape(images.shape[:-3] + (COEFF_COUNT,))
 
 
 def haar3d_inverse(coeffs):
@@ -106,25 +111,6 @@ def haar3d_inverse(coeffs):
     return vol[:, :, :3].copy()
 
 
-def qr_pivoted(A, want_q=False):
-    """QR with greedy column pivoting (LAPACK geqp3).
-
-    At step i the remaining column with the largest 2-norm is pivoted
-    in, giving A[:, pivots] = Q R with non-increasing |R_ii|. Returns
-    (pivots, R) or (pivots, R, Q).
-    """
-    A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
-        raise ShapeError(f"expected a nonempty 2-D matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise InvalidInputError("matrix contains non-finite values")
-    if want_q:
-        Q, R, piv = scipy.linalg.qr(A, pivoting=True, check_finite=False)
-        return piv, R, Q
-    R, piv = scipy.linalg.qr(A, mode="r", pivoting=True, check_finite=False)
-    return piv, R
-
-
 @dataclass
 class CoefficientSelector:
     """Ordered coefficient positions, most significant (first pivot) first."""
@@ -142,24 +128,87 @@ class CoefficientSelector:
         return len(self.indices)
 
 
+# LAWN 176's tol3z: a norm downdate that keeps less than this share of
+# the squared norm at its last exact computation is recomputed instead.
+_RECOMPUTE_TOL = np.sqrt(np.finfo(np.float64).eps / 2)
+
+
+def _column_copies(A):
+    """(first, group): column j equals column first[group[j]], the lowest
+    index of its copies. Columns are keyed by an integer hash of their
+    bits; a column whose key matches an unequal column gets its own group.
+    """
+    m, n = A.shape
+    mult = np.random.default_rng(0).integers(1, 2**63, size=m, dtype=np.uint64)
+    keys = (mult | np.uint64(1)) @ A.view(np.uint64)  # wraps mod 2**64
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    copies = np.flatnonzero(first[group] != np.arange(n))
+    apart = copies[np.any(A[:, copies] != A[:, first[group[copies]]], axis=0)]
+    group[apart] = len(first) + np.arange(len(apart))
+    return np.concatenate([first, apart]), group
+
+
 def select_coefficients(coeff_matrix, k):
     """First k pivot columns of the training coefficient matrix.
 
     Columns are coefficient positions; pivot order ranks them by
-    significance under greedy column-norm deflation.
+    significance under greedy column-norm deflation (Businger & Golub,
+    1965), stopped after k steps. Each step takes the first largest
+    residual column norm in the current swapped column order and swaps
+    it forward, as LAPACK's geqp3 does, so the pivots are geqp3's first
+    k. Equal columns share one residual norm, so they tie exactly and
+    that order alone decides between them. The chosen column,
+    orthogonalized twice against the basis so far, becomes the next
+    basis vector q; every residual norm is downdated with q @ A and
+    recomputed exactly where the downdate cancels (Drmac & Bujanovic,
+    LAPACK Working Note 176).
+
+    Raises InvalidInputError on non-finite input, and when a pivot's
+    residual norm is at rounding level (max(m, n) * eps * the largest
+    column norm, or zero): k then exceeds the matrix's numerical rank.
     """
-    coeff_matrix = np.asarray(coeff_matrix, dtype=np.float64)
-    if coeff_matrix.ndim != 2:
+    A = np.ascontiguousarray(coeff_matrix, dtype=np.float64)
+    if A.ndim != 2:
         raise ShapeError("coefficient matrix must be 2-D")
-    n_train, n_coeff = coeff_matrix.shape
-    if k < 0 or k > min(n_train, n_coeff):
-        raise InvalidParameterError(
-            f"k={k} out of range [0, {min(n_train, n_coeff)}]"
-        )
+    m, n = A.shape
+    if k < 0 or k > min(m, n):
+        raise InvalidParameterError(f"k={k} out of range [0, {min(m, n)}]")
+    if not np.all(np.isfinite(A)):
+        raise InvalidInputError("coefficient matrix contains non-finite values")
+    perm = np.arange(n)
     if k == 0:
-        return CoefficientSelector(np.empty(0, dtype=np.int64))
-    piv, _ = qr_pivoted(coeff_matrix)
-    return CoefficientSelector(piv[:k])
+        return CoefficientSelector(perm[:0])
+    first, group = _column_copies(A)
+    Q = np.empty((k, m))  # orthonormal basis, one vector per row
+    W = np.empty((k, len(first)))  # W[i] = Q[i] @ A[:, first]
+    vn1 = np.sqrt(np.einsum("ij,ij->j", A, A))[first]  # residual norm of each group
+    vn2 = vn1.copy()  # each norm at its last exact computation
+    rank_tol = max(m, n) * np.finfo(np.float64).eps * vn1.max()
+    for i in range(k):
+        p = i + int(np.argmax(vn1[group[perm[i:]]]))
+        perm[i], perm[p] = perm[p], perm[i]
+        c = group[perm[i]]
+        v = A[:, first[c]] - W[:i, c] @ Q[:i]
+        v -= (Q[:i] @ v) @ Q[:i]
+        r = np.linalg.norm(v) if vn1[c] > 0 else 0.0  # a group at 0 is spanned
+        if r <= rank_tol:
+            raise InvalidInputError(
+                f"k={k} exceeds the numerical rank {i}: pivot step {i} has residual "
+                f"norm {r:.3g} <= {rank_tol:.3g}"
+            )
+        Q[i] = v / r
+        W[i] = (Q[i] @ A)[first]
+        vn1[c] = 0.0  # its copies lie in the span of the basis now
+        live = np.flatnonzero(vn1 > 0)
+        temp = np.abs(W[i, live]) / vn1[live]
+        temp = np.maximum(0.0, (1.0 + temp) * (1.0 - temp))
+        cancels = temp * (vn1[live] / vn2[live]) ** 2 <= _RECOMPUTE_TOL
+        vn1[live] *= np.sqrt(temp)
+        redo = live[cancels]
+        if len(redo):
+            resid = A[:, first[redo]] - Q[: i + 1].T @ W[: i + 1, redo]
+            vn1[redo] = vn2[redo] = np.linalg.norm(resid, axis=0)
+    return CoefficientSelector(perm[:k].copy())
 
 
 def apply_selector(coeffs, sel):

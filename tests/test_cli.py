@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import shlex
@@ -6,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flipnet import Layer, Network, SolveOptions, flips, load_checkpoint, paths, save_checkpoint
+from flipnet import (Layer, Network, SolveOptions, flips, haar3d_forward, load_checkpoint,
+                     load_cifar_batch, paths, save_checkpoint)
 from flipnet.cli import build_parser, derived_seed, main, read_config, write_csv
 from conftest import write_synth_cifar
 
@@ -444,6 +446,20 @@ class TestManifest:
         manifest = read_manifest(tmp_path / "manifest_flip.txt")
         assert 0.0 <= float(manifest["result.converged_fraction"]) <= 1.0
         assert not any("converged" in k for k in manifest if k.startswith("config."))
+
+    def test_prepare_records_coefficient_digests(self, data_dir, tmp_path):
+        digests = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            prepare(data_dir, out, seed=42)
+            manifest = read_manifest(out / "manifest_prepare.txt")
+            digests.append((manifest["result.train_coeffs_sha256"],
+                            manifest["result.test_coeffs_sha256"]))
+        assert digests[0] == digests[1]
+        # the per-image transforms, stacked, as little-endian float64
+        for name, digest in zip(("data_batch_1.bin", "test_batch.bin"), digests[0]):
+            images, _ = load_cifar_batch((data_dir / name).read_bytes(), (0, 8))
+            coeffs = np.stack([haar3d_forward(im) for im in images]).astype("<f8")
+            assert digest == hashlib.sha256(coeffs.tobytes()).hexdigest(), name
 
     def test_lists_recorded_as_given(self, data_dir, trained_dir, tmp_path):
         assert run([*command_argv("attack", data_dir, trained_dir), "--epsilons", "0.1,2",

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from flipnet import (
     apply_selector,
@@ -7,14 +8,13 @@ from flipnet import (
     haar3d_inverse,
     load_cifar_batch,
     load_selector,
-    qr_pivoted,
     reconstruct_from_subset,
     save_selector,
     scatter_selector,
     select_coefficients,
 )
 from flipnet.features import COEFF_COUNT, CoefficientSelector
-from flipnet.errors import FormatError, InvalidParameterError, ShapeError
+from flipnet.errors import FormatError, InvalidInputError, InvalidParameterError, ShapeError
 
 
 class TestHaar:
@@ -59,37 +59,149 @@ class TestHaar:
         with pytest.raises(ShapeError):
             haar3d_inverse(np.zeros(100))
 
+    def test_stack_bit_identical_to_single_images(self, rng):
+        # more images than one batched pass takes, in a 2-D stack
+        imgs = rng.random((2, 150, 32, 32, 3))
+        stack = haar3d_forward(imgs)
+        assert stack.shape == (2, 150, COEFF_COUNT)
+        single = np.stack([[haar3d_forward(im) for im in row] for row in imgs])
+        np.testing.assert_array_equal(stack.view(np.uint64), single.view(np.uint64))
+
+    @pytest.mark.parametrize("shape", [(5, 32, 32, 4), (5, 32, 3), (5, 3, 32, 32)])
+    def test_stack_with_wrong_trailing_shape(self, shape):
+        with pytest.raises(ShapeError):
+            haar3d_forward(np.zeros(shape))
+
+
+def geqp3_pivots(A, k):
+    """First k pivots of LAPACK's geqp3, the selector's oracle."""
+    return scipy.linalg.qr(A, mode="r", pivoting=True)[1][:k]
+
+
+def first_difference(piv, oracle):
+    """(step, oracle's column, selector's column, their positions in the
+    oracle's swapped column order) where the two first differ, or None."""
+    order = list(range(max(max(piv), max(oracle)) + 1))
+    for i, (p, q) in enumerate(zip(piv, oracle)):
+        if p != q:
+            return i, q, p, order.index(q), order.index(p)
+        j = order.index(q)
+        order[i], order[j] = order[j], order[i]
+    return None
+
 
 class TestPivotedQR:
+    """select_coefficients against the first k pivots of geqp3."""
+
     def test_identity(self):
-        piv, R = qr_pivoted(np.eye(4))
-        np.testing.assert_allclose(np.abs(np.diag(R)), np.ones(4), atol=1e-14)
+        assert list(select_coefficients(np.eye(4), 4).indices) == [0, 1, 2, 3]
+        assert list(geqp3_pivots(np.eye(4), 4)) == [0, 1, 2, 3]
 
     def test_dominant_column_first(self, rng):
         A = rng.standard_normal((6, 5)) * 0.1
         A[:, 3] = 100.0 * rng.standard_normal(6)
-        piv, _ = qr_pivoted(A)
-        assert piv[0] == 3
+        assert select_coefficients(A, 1).indices[0] == 3
 
     def test_reconstruction_residual(self, rng):
-        for m, n in [(8, 6), (6, 8), (12, 12)]:
+        # the selected columns span what geqp3's first k columns of Q span
+        for m, n, k in [(8, 6, 4), (6, 8, 5), (12, 12, 7)]:
             A = rng.standard_normal((m, n))
-            piv, R, Q = qr_pivoted(A, want_q=True)
-            resid = np.linalg.norm(A[:, piv] - Q @ R)
-            assert resid <= 1e-10 * np.linalg.norm(A)
+            sel = select_coefficients(A, k).indices
+            Q, _ = np.linalg.qr(A[:, sel])
+            R = scipy.linalg.qr(A, mode="r", pivoting=True)[0]
+            resid = np.linalg.norm(A - Q @ (Q.T @ A))
+            assert abs(resid - np.linalg.norm(R[k:, k:])) <= 1e-10 * np.linalg.norm(A)
 
     def test_diagonal_non_increasing(self, rng):
         for _ in range(10):
             A = rng.standard_normal((20, 15))
-            _, R = qr_pivoted(A)
-            d = np.abs(np.diag(R))
+            sel = select_coefficients(A, 15).indices
+            d = np.abs(np.diag(np.linalg.qr(A[:, sel], mode="r")))
             assert np.all(d[:-1] >= d[1:] - 1e-12)
 
     def test_rank_deficient_trailing_zeros(self, rng):
         A = rng.standard_normal((10, 3))
         A = np.hstack([A, A])  # rank 3, 6 columns
-        _, R = qr_pivoted(A)
-        assert np.max(np.abs(np.diag(R)[3:])) <= 1e-10 * np.linalg.norm(A)
+        for k in (1, 2, 3):
+            assert np.array_equal(select_coefficients(A, k).indices % 3,
+                                  geqp3_pivots(A, k) % 3)
+        with pytest.raises(InvalidInputError, match=r"numerical rank 3: pivot step 3"):
+            select_coefficients(A, 4)
+
+    def test_matches_geqp3_on_random_shapes(self, rng):
+        for _ in range(40):
+            m, n = (int(v) for v in rng.integers(2, 65, size=2))
+            A = rng.standard_normal((m, n))
+            k = min(m, n)
+            assert np.array_equal(select_coefficients(A, k).indices, geqp3_pivots(A, k)), (m, n)
+
+    def test_exact_ties_follow_swap_order(self):
+        # geqp3 takes the first largest norm in its swapped column order,
+        # not the lowest column index: after column 3 swaps with column 0,
+        # the tie between 0, 1 and 2 goes to 1
+        A = np.diag([1.0, 1.0, 1.0, 2.0])
+        assert list(geqp3_pivots(A, 4)) == [3, 1, 2, 0]
+        assert list(select_coefficients(A, 4).indices) == [3, 1, 2, 0]
+
+    def test_duplicated_columns_with_exact_arithmetic(self, rng):
+        # rank m: signed, power-of-two scaled unit columns and their copies;
+        # every norm and projection is exact, so geqp3's ties are exact too
+        for _ in range(30):
+            m = int(rng.integers(3, 12))
+            cols = np.eye(m + 2, m)[:, rng.permutation(m)] * rng.choice([-1.0, 1.0], m)
+            cols *= 2.0 ** rng.integers(0, 3, m)
+            A = np.hstack([cols] * int(rng.integers(2, 4)))
+            A = A[:, rng.permutation(A.shape[1])]
+            for k in (m - 1, m):
+                assert np.array_equal(select_coefficients(A, k).indices, geqp3_pivots(A, k))
+            with pytest.raises(InvalidInputError, match=f"numerical rank {m}"):
+                select_coefficients(A, m + 1)
+
+    def test_duplicated_random_columns(self, rng):
+        # copies of a column tie exactly in exact arithmetic, and the
+        # selector's copies tie exactly; geqp3's rounding sometimes ranks a
+        # later copy first, so the pivots may name other copies from there
+        notes = []
+        for _ in range(40):
+            m = int(rng.integers(3, 40))
+            r = int(rng.integers(1, m))
+            A = np.hstack([rng.standard_normal((m, r))] * 2)
+            piv, oracle = select_coefficients(A, r).indices, geqp3_pivots(A, r)
+            assert np.array_equal(piv % r, oracle % r), (m, r)
+            diff = first_difference(piv, oracle)
+            if diff:
+                step, q, p, q_pos, p_pos = diff
+                assert q % r == p % r and q_pos > p_pos, diff
+                notes.append(f"{m}x{2 * r} step {step}: geqp3 took column {q} at "
+                             f"position {q_pos}, the selector its copy {p} at {p_pos}")
+        print(f"{len(notes)} exact ties that geqp3 broke by rounding: " + "; ".join(notes))
+
+    def test_near_equal_column_norms(self, rng):
+        # every column norm within about 1e-12 relative of every other
+        for _ in range(20):
+            A = rng.standard_normal((30, 20))
+            A *= (1.0 + 1e-12 * rng.standard_normal(20)) / np.linalg.norm(A, axis=0)
+            assert np.array_equal(select_coefficients(A, 20).indices, geqp3_pivots(A, 20))
+
+    def test_low_rank_product(self, rng):
+        for _ in range(20):
+            m, n = (int(v) for v in rng.integers(5, 60, size=2))
+            r = int(rng.integers(1, min(m, n)))
+            A = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+            assert np.array_equal(select_coefficients(A, r).indices, geqp3_pivots(A, r))
+            with pytest.raises(InvalidInputError, match=f"numerical rank {r}: pivot step {r}"):
+                select_coefficients(A, r + 1)
+
+    def test_all_zero_matrix(self):
+        with pytest.raises(InvalidInputError, match="numerical rank 0: pivot step 0"):
+            select_coefficients(np.zeros((4, 6)), 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        A = np.ones((4, 6))
+        A[2, 3] = bad
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            select_coefficients(A, 2)
 
 
 def greedy_selection_oracle(A, k):
@@ -180,7 +292,7 @@ class TestReconstruction:
 
     def test_error_non_increasing_along_pivot_order(self, rng):
         imgs = rng.random((30, 32, 32, 3))
-        coeff_matrix = np.stack([haar3d_forward(im) for im in imgs])
+        coeff_matrix = haar3d_forward(imgs)
         sel_full = select_coefficients(coeff_matrix, 30)
         test_img = rng.random((32, 32, 3))
         errors = []
