@@ -24,9 +24,7 @@ from .features import (
     haar3d_forward,
     haar3d_inverse,
     select_coefficients,
-    apply_selector,
     scatter_selector,
-    reconstruct_from_subset,
     load_cifar_batch,
     save_selector,
     load_selector,

@@ -66,14 +66,12 @@ def _project_ball(x, P, epsilon):
     """Nearest point to each row of P in the closed L2 ball of radius
     epsilon around the matching row of x.
 
-    P is [n, d] with x [n, d] or [d] and epsilon a scalar or [n]; a 1-D P
-    is one row. Each result row satisfies np.linalg.norm(row - x) <=
-    epsilon as computed in floating point: when rounding leaves a scaled
-    row just outside, its scale shrinks until it is inside.
+    P is [n, d] with x [n, d] or [d] and epsilon a scalar or [n]. Each
+    result row satisfies np.linalg.norm(row - x) <= epsilon as computed
+    in floating point: when rounding leaves a scaled row just outside,
+    its scale shrinks until it is inside.
     """
     P = np.asarray(P, dtype=np.float64)
-    if P.ndim == 1:
-        return _project_ball(x, P[None, :], epsilon)[0]
     X = np.broadcast_to(x, P.shape)
     eps = np.broadcast_to(np.asarray(epsilon, dtype=np.float64), P.shape[:1])
     delta = P - X
@@ -93,14 +91,15 @@ def _project_ball(x, P, epsilon):
 
 
 def _starts(x, cfg):
-    """The query, then cfg.restarts points drawn uniformly in the ball."""
+    """[1 + cfg.restarts, d]: the query, then cfg.restarts points drawn
+    uniformly in the ball and projected into it in one call."""
     rng = np.random.default_rng(cfg.seed)
-    starts = [x]
-    for _ in range(cfg.restarts):
+    P = np.empty((cfg.restarts, len(x)))
+    for p in P:
         u = rng.standard_normal(x.shape)
         r = cfg.epsilon * rng.random() ** (1.0 / len(x))
-        starts.append(_project_ball(x, x + r * u / np.linalg.norm(u), cfg.epsilon))
-    return starts
+        p[:] = x + r * u / np.linalg.norm(u)
+    return np.vstack([x, _project_ball(x, P, cfg.epsilon)])
 
 
 def _pgd_rows(net, X, P, targets, epsilon, steps, trace):
@@ -164,7 +163,7 @@ def constrained_loss_attacks(net, X, targets, cfgs, record_iterates=False):
     # rows first[i]:first[i + 1] are attack i's runs, its query first
     first = np.cumsum([0] + [1 + cfg.restarts for cfg in cfgs])
     owner = np.repeat(np.arange(len(X)), np.diff(first))
-    starts = np.array([s for x, cfg in zip(X, cfgs) for s in _starts(x, cfg)])
+    starts = np.concatenate([_starts(x, cfg) for x, cfg in zip(X, cfgs)])
     eps = np.array([cfgs[i].epsilon for i in owner], dtype=np.float64)
     steps = np.array([cfgs[i].steps for i in owner])
     best_P = np.empty_like(starts)

@@ -190,22 +190,23 @@ def cmd_recon(args):
             f"--index {args.index} is outside the {len(train_imgs)} training images"
         )
     image = train_imgs[args.index]
+    coeffs = feat.haar3d_forward(image)
     # rank by the shared training selector when given, else by this
     # image's own coefficient magnitudes
     if args.selector:
         order = feat.load_selector(_require(args.selector, "flipnet prepare")).indices
     else:
-        order = np.argsort(-np.abs(feat.haar3d_forward(image)), kind="stable")
+        order = np.argsort(-np.abs(coeffs), kind="stable")
     if not all(0 <= k <= len(order) for k in args.k_list):
         raise InvalidParameterError(f"--k-list must lie in [0, {len(order)}], got {args.k_list}")
+    kept = np.zeros((len(args.k_list), feat.COEFF_COUNT))
+    for row, k in zip(kept, args.k_list):
+        row[order[:k]] = coeffs[order[:k]]
     os.makedirs(args.out_dir, exist_ok=True)
     rows = []
     outputs = []
-    for k in args.k_list:
-        sel = feat.CoefficientSelector(order[:k])
-        recon = feat.reconstruct_from_subset(image, sel)
-        err = float(np.linalg.norm(recon - image))
-        rows.append((k, err))
+    for k, recon in zip(args.k_list, feat.haar3d_inverse(kept)):
+        rows.append((k, float(np.linalg.norm(recon - image))))
         pix_path = os.path.join(args.out_dir, f"recon_k{k}.csv")
         write_csv(pix_path, ["pixel"], [(float(v),) for v in recon.ravel()])
         outputs.append(pix_path)
@@ -233,12 +234,13 @@ def _paired_test_coeffs(X, count, sel, data_dir, keep):
             f"features have {count} rows but the test batch has {len(images)} images"
         )
     coeffs = feat.haar3d_forward(images[:count])
-    for q in range(count):
-        expected = coeffs[q, sel.indices]
-        if np.linalg.norm(X[q] - expected) > 1e-12 * np.linalg.norm(expected):
-            raise InvalidInputError(
-                f"feature row {q} is not test image {q} under the selector"
-            )
+    expected = coeffs[:, sel.indices]
+    bad = np.flatnonzero(np.linalg.norm(X[:count] - expected, axis=1)
+                         > 1e-12 * np.linalg.norm(expected, axis=1))
+    if bad.size:
+        raise InvalidInputError(
+            f"feature row {bad[0]} is not test image {bad[0]} under the selector"
+        )
     return coeffs
 
 
@@ -276,27 +278,24 @@ def cmd_flip(args):
     else:
         results = list(map(query, X[:count]))
 
+    converged = np.array([m.flip.converged for m in results], dtype=bool)
+    legit = ["not-checked"] * count
+    if sel is not None:
+        conv = np.flatnonzero(converged)
+        points = np.array([results[q].flip.point for q in conv]).reshape(len(conv), X.shape[1])
+        ok, _ = flips.check_legitimate_image(points, sel, base_coeffs[conv])
+        for q, good in zip(conv, ok):
+            legit[q] = "yes" if good else "no"
     os.makedirs(args.out_dir, exist_ok=True)
-    rows = []
-    n_converged = 0
-    for q, metrics in enumerate(results):
-        flip = metrics.flip
-        legit = "not-checked"
-        if sel is not None and flip.converged:
-            ok, _ = flips.check_legitimate_image(flip.point, sel, base_coeffs[q])
-            legit = "yes" if ok else "no"
-        n_converged += flip.converged
-        rows.append((
-            q, f"{pair[0]}|{pair[1]}", flip.distance, metrics.taylor.distance,
-            metrics.beta, metrics.directional_ratio, metrics.angle_deg,
-            flip.status, legit,
-        ))
+    rows = [(q, f"{pair[0]}|{pair[1]}", m.flip.distance, m.taylor.distance, m.beta,
+             m.directional_ratio, m.angle_deg, m.flip.status, legit[q])
+            for q, m in enumerate(results)]
     out_path = os.path.join(args.out_dir, "flips.csv")
     write_csv(out_path,
               ["id", "class_pair", "distance", "taylor_distance", "beta",
                "directional_ratio", "angle_deg", "status", "legitimate"],
               rows)
-    write_manifest(args, [out_path], {"converged_fraction": n_converged / max(count, 1)})
+    write_manifest(args, [out_path], {"converged_fraction": int(converged.sum()) / max(count, 1)})
 
 
 def cmd_path(args):

@@ -1,11 +1,14 @@
-"""Wavelet features: multilevel 3D Haar transform, greedy column-pivot
-coefficient selection, and CIFAR-10 binary ingestion restricted to two
-classes.
+"""Wavelet features: multilevel 3D Haar transform and its inverse, greedy
+column-pivot coefficient selection, and CIFAR-10 binary ingestion
+restricted to two classes.
 
 Images are 32x32x3 in [0, 1]. The channel axis is zero-padded to 4 so
 the volume is dyadic (32*32*4 = 4096 coefficients); the padded transform
-stays orthonormal. Coefficient positions are ranked by k steps of greedy
-column pivoting, which give the first k pivots of LAPACK's geqp3.
+stays orthonormal. The forward and inverse transforms and
+scatter_selector take stacks of any leading shape, one item being a
+stack of one, and each row equals that row done alone bit for bit.
+Coefficient positions are ranked by k steps of greedy column pivoting,
+which give the first k pivots of LAPACK's geqp3.
 """
 
 from dataclasses import dataclass
@@ -44,25 +47,16 @@ _PLAN = _level_plan()
 
 def _haar_axis_forward(region, axis):
     """One Haar split along axis: (a, b) -> ((a+b)/sqrt2, (a-b)/sqrt2)."""
-    a = np.take(region, range(0, region.shape[axis], 2), axis=axis)
-    b = np.take(region, range(1, region.shape[axis], 2), axis=axis)
+    shape = region.shape
+    pairs = region.reshape(shape[:axis] + (shape[axis] // 2, 2) + shape[axis + 1:])
+    a, b = np.moveaxis(pairs, axis + 1, 0)
     return np.concatenate(((a + b) / _SQRT2, (a - b) / _SQRT2), axis=axis)
 
 
 def _haar_axis_inverse(region, axis):
-    half = region.shape[axis] // 2
-    lo = np.take(region, range(half), axis=axis)
-    hi = np.take(region, range(half, 2 * half), axis=axis)
-    a = (lo + hi) / _SQRT2
-    b = (lo - hi) / _SQRT2
-    out = np.empty_like(region)
-    sl_even = [slice(None)] * region.ndim
-    sl_odd = [slice(None)] * region.ndim
-    sl_even[axis] = slice(0, 2 * half, 2)
-    sl_odd[axis] = slice(1, 2 * half, 2)
-    out[tuple(sl_even)] = a
-    out[tuple(sl_odd)] = b
-    return out
+    """Inverse of _haar_axis_forward: interleaves (lo+hi)/sqrt2, (lo-hi)/sqrt2."""
+    lo, hi = np.split(region, 2, axis=axis)
+    return np.stack(((lo + hi) / _SQRT2, (lo - hi) / _SQRT2), axis=axis + 1).reshape(region.shape)
 
 
 def haar3d_forward(images):
@@ -97,18 +91,20 @@ def haar3d_forward(images):
 def haar3d_inverse(coeffs):
     """Exact inverse of haar3d_forward; drops the zero-pad channel.
 
-    Does not clamp pixel values; callers check bounds.
+    Takes coefficients [..., 4096] and returns images [..., 32, 32, 3];
+    every row equals the inverse of that row alone bit for bit. Does not
+    clamp pixel values; callers check bounds.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs.shape != (COEFF_COUNT,):
-        raise ShapeError(f"expected ({COEFF_COUNT},) coefficients, got {coeffs.shape}")
-    vol = coeffs.reshape(PADDED_SHAPE).copy()
+    if coeffs.shape[-1:] != (COEFF_COUNT,):
+        raise ShapeError(f"expected coefficients [..., {COEFF_COUNT}], got {coeffs.shape}")
+    vol = coeffs.reshape((-1,) + PADDED_SHAPE).copy()
     for sizes, axes in reversed(_PLAN):
-        region = vol[: sizes[0], : sizes[1], : sizes[2]]
+        region = vol[:, : sizes[0], : sizes[1], : sizes[2]]
         for ax in reversed(axes):
-            region = _haar_axis_inverse(region, ax)
-        vol[: sizes[0], : sizes[1], : sizes[2]] = region
-    return vol[:, :, :3].copy()
+            region = _haar_axis_inverse(region, ax + 1)
+        vol[:, : sizes[0], : sizes[1], : sizes[2]] = region
+    return vol[..., :3].reshape(coeffs.shape[:-1] + IMAGE_SHAPE)
 
 
 @dataclass
@@ -211,28 +207,19 @@ def select_coefficients(coeff_matrix, k):
     return CoefficientSelector(perm[:k].copy())
 
 
-def apply_selector(coeffs, sel):
-    """Gather the selected coefficient positions, in selector order."""
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    return coeffs[sel.indices].copy()
-
-
 def scatter_selector(values, sel, base_coeffs):
-    """Place feature values at the selector positions of a coefficient copy."""
+    """Copies of the coefficient rows base_coeffs [..., 4096] with the
+    selector positions of each row set to the matching row of values
+    [..., k], in selector order. The leading shapes must be equal."""
     values = np.asarray(values, dtype=np.float64)
-    if values.shape != (len(sel),):
-        raise ShapeError(f"expected {len(sel)} values, got {values.shape}")
-    out = np.asarray(base_coeffs, dtype=np.float64).copy()
-    out[sel.indices] = values
+    out = np.array(base_coeffs, dtype=np.float64)
+    if values.shape[-1:] != (len(sel),) or values.shape[:-1] != out.shape[:-1]:
+        raise ShapeError(
+            f"expected values [..., {len(sel)}] matching base rows {out.shape[:-1]}, "
+            f"got {values.shape}"
+        )
+    out[..., sel.indices] = values
     return out
-
-
-def reconstruct_from_subset(image, sel):
-    """Reconstruction keeping only the selected wavelet coefficients."""
-    coeffs = haar3d_forward(image)
-    kept = np.zeros_like(coeffs)
-    kept[sel.indices] = coeffs[sel.indices]
-    return haar3d_inverse(kept)
 
 
 def save_selector(sel, path):
@@ -242,8 +229,16 @@ def save_selector(sel, path):
 
 
 def load_selector(path):
+    """Coefficient positions, one per non-blank line, each in [0, 4096)."""
+    indices = []
     with open(path) as f:
-        indices = [int(line) for line in f if line.strip()]
+        for lineno, line in enumerate(f, 1):
+            if line.strip():
+                idx = int(line)
+                if not 0 <= idx < COEFF_COUNT:
+                    raise FormatError(f"{path}:{lineno}: coefficient index {idx} "
+                                      f"is outside [0, {COEFF_COUNT})")
+                indices.append(idx)
     return CoefficientSelector(np.asarray(indices, dtype=np.int64))
 
 

@@ -255,8 +255,8 @@ def flip_along_direction(net, x, direction, pair, t_max=None):
     The solver's polish calls it too. Doubling starts at min(1e-4, t_max)
     and never probes past t_max; Brent's method (scipy's brentq) shrinks
     the bracket to 1e-12 * max(1, t). With no sign change up to t_max
-    (default 1e6 * max(1, ||x||)) the result is the point at t_max, with
-    status bracket-failed.
+    (default 1e6 * max(1, ||x||); a given t_max must be positive and
+    finite) the result is the point at t_max, with status bracket-failed.
     """
     x = np.asarray(x, dtype=np.float64)
     direction = np.asarray(direction, dtype=np.float64)
@@ -267,6 +267,8 @@ def flip_along_direction(net, x, direction, pair, t_max=None):
     i, j = _check_pair(net, pair)
     if t_max is None:
         t_max = 1e6 * max(1.0, float(np.linalg.norm(x)))
+    elif not 0 < t_max < math.inf:
+        raise InvalidParameterError(f"t_max must be positive and finite, got {t_max}")
 
     # brentq re-evaluates the bracket's ends, and its root is one of its
     # probes: each t costs one forward pass
@@ -375,14 +377,16 @@ def compare(net, x, pair, opts=None):
     )
 
 
-def check_legitimate_image(point, sel, base_coeffs):
-    """Is the pixel-space reconstruction of a feature point within [0, 1] (to PIXEL_TOL)?
+def check_legitimate_image(points, sel, base_coeffs):
+    """Is the pixel-space reconstruction of each feature point within [0, 1] (to PIXEL_TOL)?
 
-    The point's feature values replace the selected coefficients of the
-    query image's coefficient vector; unselected coefficients keep the
-    query's values. Returns (legitimate, max_violation).
+    points [..., k] and base_coeffs [..., 4096] have equal leading
+    shapes; a single point is a stack of one. Each point's feature
+    values replace the selected coefficients of its query image's
+    coefficient row, unselected coefficients keep the query's values,
+    and all rows are inverted in one call. Returns (legitimate,
+    max_violation), arrays of the leading shape.
     """
-    coeffs = scatter_selector(point, sel, base_coeffs)
-    pixels = haar3d_inverse(coeffs)
-    violation = max(float(np.max(-pixels)), float(np.max(pixels - 1.0)), 0.0)
+    pixels = haar3d_inverse(scatter_selector(points, sel, base_coeffs))
+    violation = np.maximum(np.max(np.maximum(-pixels, pixels - 1.0), axis=(-3, -2, -1)), 0.0)
     return violation <= PIXEL_TOL, violation

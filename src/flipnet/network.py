@@ -7,6 +7,7 @@ norm and the Lipschitz upper bound for the logit map all live here,
 together with the binary checkpoint format.
 """
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -50,8 +51,10 @@ class Layer:
             raise ShapeError(
                 f"bias length {self.bias.shape[0]} != weight rows {self.weights.shape[0]}"
             )
-        if self.sigma <= 0:
-            raise InvalidParameterError(f"sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < math.inf:
+            raise InvalidParameterError(f"sigma must be positive and finite, got {self.sigma}")
+        if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
+            raise InvalidInputError("layer weights and bias must be finite")
 
     @property
     def n_in(self):
@@ -234,13 +237,12 @@ def load_checkpoint(path):
         data = f.read()
     if data[:8] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: bad magic {data[:8]!r}")
-    off = 8
-    (n_layers,) = struct.unpack_from("<I", data, off)
-    off += 4
-    dims = struct.unpack_from(f"<{n_layers + 1}I", data, off)
-    off += 4 * (n_layers + 1)
-    (class_count,) = struct.unpack_from("<I", data, off)
-    off += 4
+    # magic, layer count, the n_layers + 1 dims, class count
+    n_layers = struct.unpack_from("<I", data, 8)[0] if len(data) >= 12 else 0
+    off = 12 + 4 * (n_layers + 2)
+    if off > len(data):
+        raise FormatError(f"{path}: header truncated at byte {len(data)}")
+    *dims, class_count = struct.unpack_from(f"<{n_layers + 2}I", data, 12)
     if class_count != dims[-1]:
         raise FormatError(f"{path}: class count {class_count} != last dim {dims[-1]}")
     layers = []

@@ -34,7 +34,8 @@ class RegionReport:
 
 
 def build_adjacency(net, points, class_id):
-    """Edge (u, v) iff the segment between points u and v has no crossing."""
+    """Edge (u, v) iff the segment between points u and v has no crossing;
+    equal points are joined, their segment being a single point."""
     points = np.asarray(points, dtype=np.float64)
     logits, _ = forward_batch(net, points)
     preds = np.argmax(logits, axis=1)
@@ -47,8 +48,8 @@ def build_adjacency(net, points, class_id):
     edges = []
     for u in range(n):
         for v in range(u + 1, n):
-            seg = LineSegment(points[u], points[v], 0.0, 1.0)
-            if not count_crossings(net, seg):
+            if (np.array_equal(points[u], points[v])
+                    or not count_crossings(net, LineSegment(points[u], points[v], 0.0, 1.0))):
                 edges.append((u, v))
     return AdjacencyGraph(n_nodes=n, edges=edges)
 

@@ -235,7 +235,7 @@ class TestProjectBall:
             x = rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 3)
             epsilon = 0.1 if rng.random() < 0.5 else 10.0 ** rng.uniform(-6, 3)
             p = x + rng.standard_normal(dim) * epsilon * rng.uniform(1.0, 100.0)
-            q = _project_ball(x, p, epsilon)
+            q = _project_ball(x, p[None, :], epsilon)[0]
             dist = np.linalg.norm(q - x)
             assert dist <= epsilon
             # no farther inside than rounding at the scale of x requires

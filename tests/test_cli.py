@@ -2,6 +2,8 @@ import hashlib
 import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from flipnet import (Layer, Network, SolveOptions, flips, haar3d_forward, load_checkpoint,
                      load_cifar_batch, paths, save_checkpoint)
 from flipnet.cli import build_parser, derived_seed, main, read_config, write_csv
+from flipnet.network import logits_batch
 from conftest import write_synth_cifar
 
 
@@ -295,6 +298,35 @@ def trained_dir(data_dir, tmp_path_factory):
     return d
 
 
+class TestMalformedInputs:
+    def test_truncated_checkpoint_is_a_format_error(self, trained_dir, tmp_path, capsys):
+        ckpt = tmp_path / "checkpoint.bin"
+        ckpt.write_bytes((trained_dir / "checkpoint.bin").read_bytes()[:10])
+        inputs = ["--checkpoint", ckpt, "--features", trained_dir / "test_features.csv",
+                  "--out-dir", tmp_path / "out"]
+        for argv in (["regions"], ["flip"], ["path", "--id1", 0, "--id2", 1], ["attack"]):
+            assert run(argv + inputs) == 1
+            err = capsys.readouterr().err
+            assert err.count("kind=FormatError") == 1 and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_regions_accepts_duplicate_rows(self, trained_dir, tmp_path):
+        X = np.loadtxt(trained_dir / "test_features.csv", delimiter=",", skiprows=1)[:6]
+        net = load_checkpoint(trained_dir / "checkpoint.bin")
+        # the rows region_report keeps: class 1 and classified as class 1
+        kept = np.flatnonzero((np.argmax(logits_batch(net, X[:, 1:]), axis=1) == 1)
+                              & (X[:, 0] == 1))
+        assert kept.size >= 1
+        feats = tmp_path / "features.csv"
+        header = (trained_dir / "test_features.csv").read_text().splitlines()[0]
+        rows = np.vstack([X, X[kept[0]]])
+        np.savetxt(feats, rows, delimiter=",", header=header, comments="", fmt="%.17g")
+        assert run(["regions", "--checkpoint", trained_dir / "checkpoint.bin",
+                    "--features", feats, "--class-id", 1, "--out-dir", tmp_path]) == 0
+        edges = (tmp_path / "adjacency_edges.txt").read_text().splitlines()
+        assert f"0 {kept.size}" in edges  # the copy is node kept.size, its original node 0
+
+
 class TestPath:
     @pytest.mark.parametrize("flags", [
         ["--id1", 0, "--id2", 5000],
@@ -367,6 +399,16 @@ class TestRecon:
                     "--out-dir", tmp_path / "out"])
         assert code == 1
         assert "kind=InvalidParameterError" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("bad", [-1, 5000])
+    def test_selector_index_outside_coefficients(self, data_dir, tmp_path, capsys, bad):
+        # -1 would wrap to coefficient 4095; 5000 would fail inside numpy
+        (tmp_path / "selector.txt").write_text(f"3\n{bad}\n")
+        code = run(["recon", "--data-dir", data_dir, "--k-list", "2",
+                    "--selector", tmp_path / "selector.txt", "--out-dir", tmp_path / "out"])
+        assert code == 1
+        assert f"kind=FormatError message={tmp_path / 'selector.txt'}:2:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_reads_only_training_batches(self, tmp_path):
@@ -566,3 +608,13 @@ def test_readme_quick_start_runs():
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def test_tracer_installs(tmp_path):
+    # perfbench/spans.py wraps flipnet functions by name: a renamed or
+    # deleted one fails its install before the CLI parses anything
+    root = Path(__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "perfbench/spans.py", str(tmp_path / "s.json"), "--help"],
+        cwd=root, env={**os.environ, "PYTHONPATH": "src"}, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

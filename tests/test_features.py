@@ -3,12 +3,10 @@ import pytest
 import scipy.linalg
 
 from flipnet import (
-    apply_selector,
     haar3d_forward,
     haar3d_inverse,
     load_cifar_batch,
     load_selector,
-    reconstruct_from_subset,
     save_selector,
     scatter_selector,
     select_coefficients,
@@ -71,6 +69,23 @@ class TestHaar:
     def test_stack_with_wrong_trailing_shape(self, shape):
         with pytest.raises(ShapeError):
             haar3d_forward(np.zeros(shape))
+
+    def test_inverse_stack_bit_identical_to_single_rows(self, rng):
+        coeffs = rng.standard_normal((2, 50, COEFF_COUNT))
+        stack = haar3d_inverse(coeffs)
+        assert stack.shape == (2, 50, 32, 32, 3)
+        single = np.stack([[haar3d_inverse(c) for c in row] for row in coeffs])
+        np.testing.assert_array_equal(stack.view(np.uint64), single.view(np.uint64))
+
+    def test_inverse_stack_round_trip(self, rng):
+        imgs = rng.random((7, 32, 32, 3))
+        assert np.max(np.abs(haar3d_inverse(haar3d_forward(imgs)) - imgs)) <= 1e-10
+        assert haar3d_inverse(np.zeros((0, COEFF_COUNT))).shape == (0, 32, 32, 3)
+
+    @pytest.mark.parametrize("shape", [(), (5, 4095), (5, COEFF_COUNT, 1), (5, 64, 64)])
+    def test_inverse_with_wrong_trailing_shape(self, shape):
+        with pytest.raises(ShapeError):
+            haar3d_inverse(np.zeros(shape))
 
 
 def geqp3_pivots(A, k):
@@ -255,21 +270,41 @@ class TestSelectorOps:
         sel = CoefficientSelector(np.array([0]))
         coeffs = np.zeros(COEFF_COUNT)
         coeffs[0] = 5.0
-        np.testing.assert_array_equal(apply_selector(coeffs, sel), [5.0])
+        np.testing.assert_array_equal(coeffs[sel.indices], [5.0])
 
     def test_empty_gather(self):
         sel = CoefficientSelector(np.empty(0, dtype=int))
-        assert apply_selector(np.zeros(COEFF_COUNT), sel).shape == (0,)
+        assert np.zeros(COEFF_COUNT)[sel.indices].shape == (0,)
 
     def test_gather_scatter_round_trip(self, rng):
         sel = CoefficientSelector(np.array([5, 100, 7]))
         base = rng.standard_normal(COEFF_COUNT)
         vals = np.array([1.0, 2.0, 3.0])
         out = scatter_selector(vals, sel, base)
-        np.testing.assert_array_equal(apply_selector(out, sel), vals)
+        np.testing.assert_array_equal(out[sel.indices], vals)
         mask = np.ones(COEFF_COUNT, bool)
         mask[sel.indices] = False
         np.testing.assert_array_equal(out[mask], base[mask])
+
+    def test_scatter_stack_equals_single_rows(self, rng):
+        sel = CoefficientSelector(np.array([5, 100, 7]))
+        base = rng.standard_normal((2, 4, COEFF_COUNT))
+        vals = rng.standard_normal((2, 4, 3))
+        before = base.copy()
+        out = scatter_selector(vals, sel, base)
+        np.testing.assert_array_equal(base, before)  # the base rows are copied, not written
+        for i in range(2):
+            for j in range(4):
+                np.testing.assert_array_equal(out[i, j], scatter_selector(vals[i, j], sel, base[i, j]))
+
+    @pytest.mark.parametrize("vals_shape, base_shape", [
+        ((3, 3), (COEFF_COUNT,)), ((3,), (2, COEFF_COUNT)), ((2, 3), (3, COEFF_COUNT)),
+        ((2, 4), (2, COEFF_COUNT)), ((), (COEFF_COUNT,)),
+    ])
+    def test_scatter_shape_mismatch(self, vals_shape, base_shape):
+        sel = CoefficientSelector(np.array([5, 100, 7]))
+        with pytest.raises(ShapeError):
+            scatter_selector(np.zeros(vals_shape), sel, np.zeros(base_shape))
 
     def test_save_load(self, tmp_path, rng):
         sel = CoefficientSelector(rng.permutation(COEFF_COUNT)[:20])
@@ -278,17 +313,31 @@ class TestSelectorOps:
         loaded = load_selector(path)
         assert np.array_equal(loaded.indices, sel.indices)
 
+    @pytest.mark.parametrize("bad", [-1, COEFF_COUNT, 5000])
+    def test_load_rejects_index_outside_coefficients(self, tmp_path, bad):
+        path = tmp_path / "sel.txt"
+        path.write_text(f"3\n\n{bad}\n7\n")
+        with pytest.raises(FormatError, match=f"sel.txt:3: coefficient index {bad} "):
+            load_selector(path)
+
+
+def reconstruct(image, indices):
+    """Forward transform, keep the coefficients at indices, inverse."""
+    coeffs = haar3d_forward(image)
+    kept = np.zeros_like(coeffs)
+    kept[..., indices] = coeffs[..., indices]
+    return haar3d_inverse(kept)
+
 
 class TestReconstruction:
     def test_full_basis(self, rng):
         img = rng.random((32, 32, 3))
-        sel = CoefficientSelector(np.arange(COEFF_COUNT))
-        assert np.max(np.abs(reconstruct_from_subset(img, sel) - img)) <= 1e-10
+        assert np.max(np.abs(reconstruct(img, np.arange(COEFF_COUNT)) - img)) <= 1e-10
 
     def test_empty_selector(self, rng):
         img = rng.random((32, 32, 3))
-        sel = CoefficientSelector(np.empty(0, dtype=int))
-        np.testing.assert_array_equal(reconstruct_from_subset(img, sel), np.zeros((32, 32, 3)))
+        np.testing.assert_array_equal(reconstruct(img, np.empty(0, dtype=int)),
+                                      np.zeros((32, 32, 3)))
 
     def test_error_non_increasing_along_pivot_order(self, rng):
         imgs = rng.random((30, 32, 32, 3))
@@ -297,8 +346,7 @@ class TestReconstruction:
         test_img = rng.random((32, 32, 3))
         errors = []
         for k in [5, 10, 20, 30]:
-            sel = CoefficientSelector(sel_full.indices[:k])
-            recon = reconstruct_from_subset(test_img, sel)
+            recon = reconstruct(test_img, sel_full.indices[:k])
             errors.append(np.linalg.norm(recon - test_img))
         assert all(a >= b - 1e-12 for a, b in zip(errors, errors[1:]))
 

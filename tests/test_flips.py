@@ -265,6 +265,12 @@ class TestFlipAlongDirection:
         res = flip_along_direction(net, x, np.sign(g) * w, (0, 1), t_max=100.0)
         assert res.status == STATUS_BRACKET_FAILED
 
+    @pytest.mark.parametrize("t_max", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_rejects_bad_t_max(self, rng, t_max):
+        net = make_linear_net(rng, 3)
+        with pytest.raises(InvalidParameterError, match="t_max"):
+            flip_along_direction(net, rng.standard_normal(3), np.ones(3), (0, 1), t_max=t_max)
+
     def test_never_probes_past_t_max(self, rng, monkeypatch):
         # the boundary is 5e-5 away, nearer than the first doubling step
         net = make_linear_net(rng, 3)
@@ -565,3 +571,18 @@ class TestLegitimateImage:
         expected = max(float(np.max(-pixels)), float(np.max(pixels - 1.0)), 0.0)
         assert viol == expected
         assert ok == (expected <= 1e-6)
+
+    def test_stack_equals_single_points(self, rng):
+        # one call over a stack gives each point its own check, bit for bit
+        imgs = rng.uniform(0.2, 0.8, (6, 32, 32, 3))
+        coeffs = haar3d_forward(imgs)
+        sel = CoefficientSelector(np.array([0, 3, 17, 256, 1000]))
+        points = coeffs[:, sel.indices] * rng.choice([1.0, 1e3], (6, 1))
+        ok, viol = check_legitimate_image(points, sel, coeffs)
+        assert ok.shape == viol.shape == (6,)
+        for q in range(6):
+            ok_q, viol_q = check_legitimate_image(points[q], sel, coeffs[q])
+            assert ok[q] == ok_q and viol[q] == viol_q
+        assert ok.any() and not ok.all()
+        ok, viol = check_legitimate_image(points[:0], sel, coeffs[:0])
+        assert ok.shape == viol.shape == (0,)

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from flipnet import (
     spectral_norm,
     vjp,
 )
-from flipnet.errors import InvalidInputError, InvalidParameterError, ShapeError
+from flipnet.errors import FormatError, InvalidInputError, InvalidParameterError, ShapeError
 from conftest import make_random_net
 
 
@@ -253,9 +254,43 @@ class TestCheckpoint:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOTANET!" + b"\x00" * 16)
-        from flipnet.errors import FormatError
-
         with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+
+    def test_every_truncation_is_a_format_error(self, rng, tmp_path):
+        path = tmp_path / "net.bin"
+        save_checkpoint(make_random_net(rng, [3, 4, 2]), path)
+        data = path.read_bytes()
+        cut = tmp_path / "cut.bin"
+        for n in range(len(data)):
+            cut.write_bytes(data[:n])
+            with pytest.raises(FormatError):
+                load_checkpoint(cut)
+
+    def test_layer_count_overrunning_the_file(self, rng, tmp_path):
+        path = tmp_path / "net.bin"
+        save_checkpoint(make_random_net(rng, [3, 4, 2]), path)
+        data = bytearray(path.read_bytes())
+        data[8:12] = struct.pack("<I", 2**32 - 1)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="header truncated"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("weights", math.nan, InvalidInputError), ("weights", math.inf, InvalidInputError),
+        ("bias", -math.inf, InvalidInputError), ("sigma", math.nan, InvalidParameterError),
+        ("sigma", math.inf, InvalidParameterError),
+    ])
+    def test_non_finite_parameters_rejected(self, rng, tmp_path, field, value, error):
+        net = make_random_net(rng, [3, 4, 2])
+        if field == "sigma":
+            net.layers[0].sigma = value
+        else:
+            getattr(net.layers[0], field).flat[1] = value
+        path = tmp_path / "net.bin"
+        save_checkpoint(net, path)  # writes what it is given
+        with pytest.raises(error):
             load_checkpoint(path)
 
 
@@ -263,6 +298,20 @@ class TestValidation:
     def test_sigma_positive(self):
         with pytest.raises(InvalidParameterError):
             Layer(np.eye(2), np.zeros(2), 0.0)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+    def test_sigma_finite(self, sigma):
+        with pytest.raises(InvalidParameterError, match="positive and finite"):
+            Layer(np.eye(2), np.zeros(2), sigma)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weights_and_bias(self, value):
+        W = np.eye(2)
+        W[0, 1] = value
+        with pytest.raises(InvalidInputError):
+            Layer(W, np.zeros(2), 1.0)
+        with pytest.raises(InvalidInputError):
+            Layer(np.eye(2), np.array([0.0, value]), 1.0)
 
     def test_dim_chain(self):
         with pytest.raises(ShapeError):

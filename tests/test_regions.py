@@ -61,6 +61,13 @@ class TestBuildAdjacency:
         assert (0, 2) not in graph.edges
         assert (1, 2) not in graph.edges
 
+    def test_equal_points_adjacent(self):
+        # a repeated point joins its copy, and the copy keeps the original's edges
+        net = make_bump_net(width=1.0, sharpness=0.1)
+        pts = np.array([[-3.0, 0.0], [-2.0, 0.5], [3.0, 0.0], [-3.0, 0.0]])
+        graph = build_adjacency(net, pts, 1)
+        assert graph.edges == [(0, 1), (0, 3), (1, 3)]
+
     def test_wrong_class_rejected(self, rng):
         net = make_linear_net(rng, 3)
         W, b = net.layers[0].weights, net.layers[0].bias
