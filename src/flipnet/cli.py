@@ -17,7 +17,8 @@ import numpy as np
 
 from . import features as feat
 from . import flips, paths, regions, attacks, training, network
-from .errors import DependencyError, FlipnetError, InvalidInputError, InvalidParameterError
+from .errors import (DependencyError, FlipnetError, FormatError, InvalidInputError,
+                     InvalidParameterError)
 
 
 def _fmt(x):
@@ -101,9 +102,45 @@ def _require(path, producing_command):
 
 
 def _load_features_csv(path):
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    labels = data[:, 0].astype(np.int64)
-    return data[:, 1:], labels
+    """(features, labels) of a features CSV: a header line, then one row
+    per point, its label (an integer >= 0) and its feature values."""
+    with open(path) as f:
+        width = len(f.readline().split(","))
+        start = f.tell()
+        if not any(line.strip() for line in f):
+            raise FormatError(f"{path}: no data rows")
+        f.seek(start)
+        try:
+            data = np.loadtxt(f, delimiter=",", ndmin=2)
+        except ValueError:
+            data = None
+    if data is None or data.shape[1] != width:
+        raise FormatError(_first_bad_line(path))
+    labels = data[:, 0]
+    integral = (labels >= 0) & (labels < 2.0**63) & (labels == np.trunc(labels))  # fits int64
+    bad = np.flatnonzero(~integral)
+    if bad.size:
+        raise FormatError(f"{path}: label {labels[bad[0]]:g} of data row {bad[0] + 1} "
+                          "is not an integer >= 0")
+    return data[:, 1:], labels.astype(np.int64)
+
+
+def _first_bad_line(path):
+    """Where and why a features CSV fails to load: its first data line
+    without the header's number of values or with a value that is no number."""
+    with open(path) as f:
+        width = len(f.readline().split(","))
+        for lineno, line in enumerate(f, 2):
+            values = line.split("#", 1)[0].split(",")  # np.loadtxt drops comments
+            if len(values) == 1 and not values[0].strip():
+                continue
+            if len(values) != width:
+                return f"{path}:{lineno}: {len(values)} values, the header has {width}"
+            try:
+                [float(v) for v in values]
+            except ValueError as exc:
+                return f"{path}:{lineno}: {exc}"
+    return f"{path}: not a features CSV"
 
 
 def _save_features_csv(path, X, labels):
@@ -428,7 +465,8 @@ def build_parser():
     p = command("regions", "within-class adjacency and connectivity",
                 "--checkpoint", "--features")
     p.add_argument("--class-id", type=int, default=1)
-    p.add_argument("--max-points", type=int, default=60)
+    p.add_argument("--max-points", type=int, default=60,
+                   help="0 = every correctly classified point")
 
     p = command("attack", "constrained-loss attack vs flip points", "--checkpoint", "--features")
     p.add_argument("--count", type=int, default=20, help="0 = all rows")

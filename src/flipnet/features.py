@@ -234,7 +234,11 @@ def load_selector(path):
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
             if line.strip():
-                idx = int(line)
+                try:
+                    idx = int(line)
+                except ValueError:
+                    raise FormatError(f"{path}:{lineno}: {line.strip()!r} "
+                                      "is not a coefficient index") from None
                 if not 0 <= idx < COEFF_COUNT:
                     raise FormatError(f"{path}:{lineno}: coefficient index {idx} "
                                       f"is outside [0, {COEFF_COUNT})")

@@ -117,10 +117,10 @@ def _gap_and_grad(net, p, i, j):
     return z[0, i] - z[0, j], vjp(net, preacts, _pair_coeffs(net.class_count, i, j))[0]
 
 
-def _make_result(net, x, p, pair, z=None):
-    """FlipResult at p; z, when given, are the logits at p."""
+def _make_result(x, p, pair, z):
+    """FlipResult at p, from the logits z at p."""
     i, j = pair
-    eq, margin = _residuals(_logits(net, p) if z is None else z, i, j)
+    eq, margin = _residuals(z, i, j)
     ok = eq <= 1e-6 and margin >= -1e-8
     return FlipResult(
         point=p,
@@ -202,7 +202,7 @@ def _augmented_lagrangian_solve(net, x, start, pair):
     # Polish: the first crossing on the ray x -> p is on the boundary and
     # no farther from x than p itself. The iterate can sit marginally on
     # the query side of the boundary, so the search runs a little past p.
-    result = _make_result(net, x, p, pair, z)
+    result = _make_result(x, p, pair, z)
     if result.distance > 0.0:
         crossing = flip_along_direction(net, x, p - x, pair, t_max=1.1 * result.distance)
         if (crossing.status != STATUS_BRACKET_FAILED
@@ -217,7 +217,7 @@ def _augmented_lagrangian_solve(net, x, start, pair):
     eq_t, margin_t = _residuals(z_t, i, j)
     if (margin_t >= -1e-8 and eq_t <= max(result.equality_residual, 1e-12)
             and np.linalg.norm(polished - x) <= result.distance + 1e-12):
-        result = _make_result(net, x, polished, pair, z_t)
+        result = _make_result(x, polished, pair, z_t)
     return result
 
 
@@ -234,9 +234,10 @@ def closest_flip(net, x, pair, opts=None):
     i, j = _check_pair(net, pair)
 
     # A query already on the boundary is its own flip point.
-    eq, margin = _residuals(_logits(net, x), i, j)
+    z = _logits(net, x)
+    eq, margin = _residuals(z, i, j)
     if eq == 0.0 and margin >= 0.0:
-        return FlipResult(x.copy(), 0.0, (i, j), float(eq), float(margin), STATUS_CONVERGED)
+        return _make_result(x, x.copy(), (i, j), z)
 
     rng = np.random.default_rng(opts.seed)
     seeds = [x]
@@ -282,7 +283,7 @@ def flip_along_direction(net, x, direction, pair, t_max=None):
 
     g0 = gap(0.0)
     if g0 == 0.0:
-        return _make_result(net, x, x.copy(), pair)
+        return _make_result(x, x.copy(), pair, logits(0.0))
 
     # Doubling: t_lo is the farthest probe on the query's side, t_hi the
     # next one; neither passes t_max.
@@ -301,7 +302,7 @@ def flip_along_direction(net, x, direction, pair, t_max=None):
     # crossing to about 1e-12 relative to anchor its tangent step.
     t_star = brentq(gap, t_lo, t_hi, xtol=1e-12 * max(1.0, t_hi),
                     rtol=4 * np.finfo(float).eps)
-    return _make_result(net, x, x + t_star * d, pair, logits(t_star))
+    return _make_result(x, x + t_star * d, pair, logits(t_star))
 
 
 def taylor_estimate(net, x, pair):

@@ -63,22 +63,23 @@ def connected_components(graph):
     return count, np.bincount(labels, minlength=count).tolist(), labels.tolist()
 
 
-def region_report(net, features, labels, class_id, max_points=None, seed=0):
+def region_report(net, features, labels, class_id, max_points=0, seed=0):
     """Connectivity report for the correctly-classified points of a class.
 
     fraction_direct is the share of pairs joined by a crossing-free
     segment. Star-shape / connectedness is reported as evidence
-    (fraction + single-component flag), not asserted. max_points, when
-    given, caps the points by a seeded sample and must be at least 2.
+    (fraction + single-component flag), not asserted. max_points caps
+    the points by a seeded sample; 0 keeps every correctly classified
+    point, and any other value must be at least 2.
     """
-    if max_points is not None and max_points < 2:
-        raise InvalidParameterError(f"max_points must be None or >= 2, got {max_points}")
+    if max_points != 0 and max_points < 2:
+        raise InvalidParameterError(f"max_points must be 0 or >= 2, got {max_points}")
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     logits, _ = forward_batch(net, features)
     preds = np.argmax(logits, axis=1)
     keep = np.nonzero((preds == class_id) & (labels == class_id))[0]
-    if keep.size > 2 and max_points is not None and keep.size > max_points:
+    if 0 < max_points < keep.size:
         rng = np.random.default_rng(seed)
         keep = np.sort(rng.choice(keep, size=max_points, replace=False))
     if keep.size < 2:
@@ -89,16 +90,13 @@ def region_report(net, features, labels, class_id, max_points=None, seed=0):
     n = graph.n_nodes
     total_pairs = n * (n - 1) // 2
     count, sizes, _ = connected_components(graph)
-    degrees = [0] * n
-    for u, v in graph.edges:
-        degrees[u] += 1
-        degrees[v] += 1
+    degrees = np.bincount(np.array(graph.edges, dtype=np.int64).ravel(), minlength=n)
     min_node = int(np.argmin(degrees))
     return RegionReport(
         fraction_direct=len(graph.edges) / total_pairs,
         component_count=count,
         component_sizes=sizes,
-        min_degree_node=(min_node, degrees[min_node]),
+        min_degree_node=(min_node, int(degrees[min_node])),
         all_pairs_connected=(count == 1),
         n_points=n,
         edges=graph.edges,

@@ -4,6 +4,7 @@ All randomness (weight init, shuffles, dropout masks) is driven by the
 config seed, so identical configs reproduce bit-identical networks.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +28,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise InvalidParameterError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise InvalidParameterError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise InvalidParameterError("dropout_rate must be in [0, 1)")
         if self.epochs < 0:
@@ -61,26 +63,22 @@ def _forward_train(net, X, dropout_rate, rng):
     """Forward pass with inverted dropout on hidden activations.
 
     Returns (softmax, caches) where caches hold per-layer inputs,
-    preactivations and dropout masks for the backward pass.
+    preactivations and dropout masks for the backward pass. At rate 0
+    every mask is the scalar 1.0 and no random number is drawn.
     """
     a = X
     caches = []
-    n_layers = len(net.layers)
-    for li, layer in enumerate(net.layers):
+    for layer in net.layers[:-1]:
         y = a @ layer.weights.T + layer.bias
-        if li < n_layers - 1:
-            act = activation_erf(y, layer.sigma)
-            if dropout_rate > 0.0:
-                mask = (rng.random(act.shape) >= dropout_rate) / (1.0 - dropout_rate)
-                act = act * mask
-            else:
-                mask = None
-            caches.append((a, y, mask))
-            a = act
-        else:
-            caches.append((a, y, None))
-            a = y
-    return softmax_rows(a), caches
+        mask = 1.0
+        if dropout_rate > 0.0:
+            mask = (rng.random(y.shape) >= dropout_rate) / (1.0 - dropout_rate)
+        caches.append((a, y, mask))
+        a = activation_erf(y, layer.sigma) * mask
+    out = net.layers[-1]
+    y = a @ out.weights.T + out.bias
+    caches.append((a, y, 1.0))
+    return softmax_rows(y), caches
 
 
 def _backward(net, caches, delta_logits):
@@ -90,25 +88,15 @@ def _backward(net, caches, delta_logits):
     Returns one (gW, gb, gsigma) tuple per layer, in layer order; the
     output layer has no activation, so its sigma gradient is zero.
     """
-    n_layers = len(net.layers)
-    out = [None] * n_layers
-    sigma_grads = [0.0] * n_layers
-    g = delta_logits  # d(loss)/d(preactivation of current layer)
-    for li in range(n_layers - 1, -1, -1):
+    g = delta_logits  # d(loss)/d(preactivation of the current layer)
+    grads = [(g.T @ caches[-1][0], g.sum(axis=0), 0.0)]
+    for li in range(len(net.layers) - 2, -1, -1):
         layer = net.layers[li]
-        a_in, _, _ = caches[li]
-        out[li] = (g.T @ a_in, g.sum(axis=0), sigma_grads[li])
-        if li > 0:
-            prev = net.layers[li - 1]
-            _, y_prev, mask_prev = caches[li - 1]
-            g_act = g @ layer.weights
-            if mask_prev is not None:
-                g_act = g_act * mask_prev
-            dact = activation_erf_deriv(y_prev, prev.sigma)
-            # d erf(y/s) / ds = -(y / s) * d erf(y/s) / dy
-            sigma_grads[li - 1] = float(-np.sum(g_act * dact * (y_prev / prev.sigma)))
-            g = g_act * dact
-    return out
+        a_in, y, mask = caches[li]
+        g = (g @ net.layers[li + 1].weights) * mask * activation_erf_deriv(y, layer.sigma)
+        # d erf(y/s) / ds = -(y / s) * d erf(y/s) / dy
+        grads.append((g.T @ a_in, g.sum(axis=0), float(-np.sum(g * (y / layer.sigma)))))
+    return grads[::-1]
 
 
 def train(net, features, labels, cfg, test_features=None, test_labels=None):
@@ -125,6 +113,9 @@ def train(net, features, labels, cfg, test_features=None, test_labels=None):
         raise InvalidInputError("feature/label counts differ")
     if labels.min() < 0 or labels.max() >= net.class_count:
         raise InvalidInputError(f"labels must lie in [0, {net.class_count})")
+    for name, X in (("training", features), ("test", test_features)):
+        if X is not None and not np.all(np.isfinite(X)):
+            raise InvalidInputError(f"{name} features must be finite")
 
     net = net.copy()
     report = TrainReport()

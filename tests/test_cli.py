@@ -327,6 +327,54 @@ class TestMalformedInputs:
         assert f"0 {kept.size}" in edges  # the copy is node kept.size, its original node 0
 
 
+    @pytest.mark.parametrize("fault, where", [
+        ("non-number", ":3: could not convert string to float: 'abc'"),
+        ("row-short", ":3: 20 values, the header has 21"),
+        ("fractional-label", ": label 0.5 of data row 2 is not an integer >= 0"),
+        ("negative-label", ": label -1 of data row 2 is not an integer >= 0"),
+        ("no-rows", ": no data rows"),
+    ])
+    def test_features_csv_fault_is_a_format_error(self, trained_dir, tmp_path, capsys,
+                                                  fault, where):
+        lines = (trained_dir / "test_features.csv").read_text().splitlines()
+        header, first, row = lines[:3]
+        label, values = row.split(",", 1)
+        bad = {
+            "non-number": f"{label},abc,{values.split(',', 1)[1]}",
+            "row-short": row.rsplit(",", 1)[0],
+            "fractional-label": f"0.5,{values}",
+            "negative-label": f"-1,{values}",
+        }.get(fault)
+        feats = tmp_path / "features.csv"
+        feats.write_text("\n".join([header] + ([first, bad] if bad else [])) + "\n")
+        inputs = ["--checkpoint", trained_dir / "checkpoint.bin", "--features", feats]
+        for argv in (["train", "--features", feats, "--epochs", 1],
+                     ["train", "--features", trained_dir / "train_features.csv",
+                      "--test-features", feats, "--epochs", 1],
+                     ["flip", *inputs, "--count", 1, "--restarts", 0],
+                     ["regions", *inputs],
+                     ["attack", *inputs, "--count", 1, "--restarts", 0]):
+            assert run(argv + ["--out-dir", tmp_path / "out"]) == 1
+            err = capsys.readouterr().err
+            assert f"kind=FormatError message={feats}{where}" in err, argv[0]
+            assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", ["--features", "--test-features"])
+    def test_train_rejects_non_finite_features(self, trained_dir, tmp_path, capsys, flag):
+        lines = (trained_dir / "train_features.csv").read_text().splitlines()
+        label, values = lines[2].split(",", 1)
+        lines[2] = f"{label},nan,{values.split(',', 1)[1]}"
+        feats = tmp_path / "features.csv"
+        feats.write_text("\n".join(lines) + "\n")
+        inputs = {"--features": trained_dir / "train_features.csv", flag: feats}
+        code = run(["train", *[v for kv in inputs.items() for v in kv], "--epochs", 1,
+                    "--out-dir", tmp_path / "out"])
+        assert code == 1
+        assert "kind=InvalidInputError" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestPath:
     @pytest.mark.parametrize("flags", [
         ["--id1", 0, "--id2", 5000],
@@ -409,6 +457,15 @@ class TestRecon:
                     "--selector", tmp_path / "selector.txt", "--out-dir", tmp_path / "out"])
         assert code == 1
         assert f"kind=FormatError message={tmp_path / 'selector.txt'}:2:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_selector_line_not_an_integer(self, data_dir, tmp_path, capsys):
+        (tmp_path / "selector.txt").write_text("3\nabc\n7\n")
+        code = run(["recon", "--data-dir", data_dir, "--k-list", "2",
+                    "--selector", tmp_path / "selector.txt", "--out-dir", tmp_path / "out"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"kind=FormatError message={tmp_path / 'selector.txt'}:2: 'abc'" in err
         assert not (tmp_path / "out").exists()
 
     def test_reads_only_training_batches(self, tmp_path):
@@ -520,6 +577,9 @@ class TestOptionValues:
         ("attack", ["--epsilons=inf"]),
         ("attack", ["--epsilons=nan"]),
         ("attack", ["--epsilons", "0"]),
+        ("regions", ["--max-points", 1]),
+        ("train", ["--learning-rate=nan"]),
+        ("train", ["--learning-rate=inf"]),
     ])
     def test_out_of_contract_number(self, data_dir, trained_dir, tmp_path, capsys,
                                     command, flags):
@@ -528,6 +588,14 @@ class TestOptionValues:
         assert code == 1
         assert "kind=InvalidParameterError" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_regions_max_points_zero_is_every_point(self, data_dir, trained_dir, tmp_path):
+        for max_points in (0, 1000):
+            assert run([*command_argv("regions", data_dir, trained_dir),
+                        "--max-points", max_points, "--out-dir", tmp_path / str(max_points)]) == 0
+        for name in ("adjacency_edges.txt", "region_summary.csv"):
+            assert ((tmp_path / "0" / name).read_bytes()
+                    == (tmp_path / "1000" / name).read_bytes()), name
 
     def test_flip_check_needs_selector_and_data_dir(self, data_dir, trained_dir,
                                                      tmp_path, capsys):

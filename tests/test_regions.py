@@ -10,6 +10,7 @@ from flipnet import (
     region_report,
 )
 from flipnet.errors import InvalidInputError, InvalidParameterError
+from flipnet.network import logits_batch
 from conftest import make_bump_net, make_linear_net
 
 
@@ -157,6 +158,8 @@ class TestRegionReport:
         report = region_report(net, pts, labels, 1)
         n = report.n_points
         assert report.fraction_direct == len(report.edges) / (n * (n - 1) / 2)
+        degrees = [sum(node in edge for edge in report.edges) for node in range(n)]
+        assert report.min_degree_node == (degrees.index(min(degrees)), min(degrees))
         # the slab separates left and right clusters
         assert report.component_count == 2
 
@@ -165,12 +168,26 @@ class TestRegionReport:
         with pytest.raises(InvalidInputError):
             region_report(net, np.zeros((1, 3)), np.zeros(1, dtype=int), 0)
 
-    @pytest.mark.parametrize("max_points", [-1, 0, 1])
+    @pytest.mark.parametrize("max_points", [-1, 1])
     def test_max_points_below_two(self, max_points):
         net = make_bump_net(width=1.0, sharpness=0.1)
         pts = np.array([[3.0, 0.0], [2.5, 1.0], [2.0, -1.0]])
         with pytest.raises(InvalidParameterError):
             region_report(net, pts, np.ones(3, dtype=int), 1, max_points=max_points)
+
+    def test_max_points_zero_keeps_every_point(self):
+        net = make_bump_net(width=1.0, sharpness=0.1)
+        rng = np.random.default_rng(0)
+        pts = np.column_stack([rng.uniform(-4, 4, 30), rng.uniform(-2, 2, 30)])
+        labels = np.ones(30, dtype=int)
+        labels[:4] = 0  # wrong label: never kept
+        kept = np.flatnonzero((np.argmax(logits_batch(net, pts), axis=1) == 1) & (labels == 1))
+        assert 8 < kept.size < 26
+        every = region_report(net, pts, labels, 1, max_points=0, seed=3)
+        assert every.n_points == kept.size
+        assert every == region_report(net, pts, labels, 1, max_points=kept.size + 1, seed=3)
+        assert every == region_report(net, pts, labels, 1)
+        assert region_report(net, pts, labels, 1, max_points=8, seed=3).n_points == 8
 
     def test_subsampling_deterministic(self):
         net = make_bump_net(width=1.0, sharpness=0.1)

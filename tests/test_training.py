@@ -6,7 +6,9 @@ import pytest
 from flipnet import Layer, Network, cross_entropy, evaluate_accuracy, forward, train
 from flipnet.errors import InvalidInputError, InvalidParameterError
 from flipnet.network import softmax_rows
-from flipnet.training import ADAM_EPS, SIGMA_FLOOR, TrainConfig, init_network
+from flipnet.training import (ADAM_EPS, SIGMA_FLOOR, TrainConfig, _backward, _forward_train,
+                              init_network)
+from conftest import make_random_net
 
 
 def blobs(rng, n=200, sep=4.0):
@@ -58,6 +60,48 @@ class TestCrossEntropy:
                 - cross_entropy(softmax_rows((z - e)[None])[0], label)
             ) / (2 * h)
             assert abs(analytic[k] - fd) <= 1e-6 * max(abs(fd), 1e-6)
+
+
+class TestBackward:
+    @pytest.mark.parametrize("dropout_rate", [0.0, 0.5])
+    def test_gradients_match_central_differences(self, rng, dropout_rate):
+        # two hidden layers with unequal sigmas; every evaluation draws its
+        # dropout masks from a fresh generator with one seed, so the masks
+        # are held fixed while the parameters move
+        net = make_random_net(rng, [3, 5, 4, 2], scale=0.7)
+        net.layers[0].sigma, net.layers[1].sigma = 0.8, 1.7
+        X = rng.standard_normal((6, 3))
+        y = np.array([0, 1, 1, 0, 1, 0])
+
+        def mean_loss(n):
+            probs, _ = _forward_train(n, X, dropout_rate, np.random.default_rng(5))
+            return float(np.mean(cross_entropy(probs, y)))
+
+        def central_difference(li, name, index=()):
+            h = 1e-6
+            diffs = []
+            for step in (h, -h):
+                moved = net.copy()
+                layer = moved.layers[li]
+                if index == ():
+                    setattr(layer, name, getattr(layer, name) + step)
+                else:
+                    getattr(layer, name)[index] += step
+                diffs.append(mean_loss(moved))
+            return (diffs[0] - diffs[1]) / (2 * h)
+
+        probs, caches = _forward_train(net, X, dropout_rate, np.random.default_rng(5))
+        grads = _backward(net, caches, (probs - np.eye(2)[y]) / len(y))
+        assert len(grads) == len(net.layers)
+        for li, (gW, gb, gsigma) in enumerate(grads):
+            for name, analytic in (("weights", gW), ("bias", gb)):
+                assert analytic.shape == getattr(net.layers[li], name).shape
+                fd = np.array([central_difference(li, name, index)
+                               for index in np.ndindex(analytic.shape)]).reshape(analytic.shape)
+                np.testing.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-9)
+            # the output layer has no activation, so its sigma moves nothing
+            assert gsigma == pytest.approx(central_difference(li, "sigma"), rel=1e-6, abs=1e-9)
+        assert grads[-1][2] == 0.0
 
 
 class TestTrain:
@@ -152,6 +196,16 @@ class TestTrain:
         with pytest.raises(InvalidInputError):
             train(net, np.empty((0, 2)), np.empty(0, int), TrainConfig(epochs=1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("split", ["training", "test"])
+    def test_non_finite_features(self, rng, bad, split):
+        # caught before the first epoch, not as a diverged loss
+        X, y = blobs(rng)
+        X_test = X.copy()
+        (X if split == "training" else X_test)[5, 1] = bad
+        with pytest.raises(InvalidInputError, match=f"{split} features must be finite"):
+            train(init_network([2, 4, 2], seed=0), X, y, TrainConfig(epochs=1), X_test, y)
+
 
 class TestEvaluateAccuracy:
     def test_constant_prediction_on_balanced_data(self, rng):
@@ -182,6 +236,11 @@ class TestConfigValidation:
     def test_bad_learning_rate(self):
         with pytest.raises(InvalidParameterError):
             TrainConfig(learning_rate=0.0)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_learning_rate(self, rate):
+        with pytest.raises(InvalidParameterError, match="positive and finite"):
+            TrainConfig(learning_rate=rate)
 
     def test_bad_dropout(self):
         with pytest.raises(InvalidParameterError):
