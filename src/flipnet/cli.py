@@ -6,8 +6,6 @@ and verifiable. build_parser is the one place that knows the options.
 """
 
 import argparse
-import concurrent.futures
-import functools
 import glob
 import hashlib
 import os
@@ -59,8 +57,9 @@ def _sha256(path):
     return h.hexdigest()
 
 
-# Options that change no output: where outputs go and how many processes
-# compute them. Every other option of a command is in its config hash.
+# Options that change no output: where outputs go, and --threads, which
+# every subcommand accepts and ignores. Every other option of a command is
+# in its config hash.
 UNHASHED_OPTIONS = ("command", "config", "out_dir", "threads")
 
 
@@ -102,10 +101,15 @@ def _require(path, producing_command):
 
 
 def _load_features_csv(path):
-    """(features, labels) of a features CSV: a header line, then one row
-    per point, its label (an integer >= 0) and its feature values."""
+    """(features, labels) of a features CSV: the header line
+    `label,c0,c1,...`, then one row per point, its label (an integer
+    >= 0) and its feature values."""
     with open(path) as f:
-        width = len(f.readline().split(","))
+        header = f.readline().rstrip("\r\n").split(",")
+        width = len(header)
+        if header != ["label"] + [f"c{k}" for k in range(width - 1)]:
+            raise FormatError(f"{path}:1: the header must be label,c0,...,c{width - 2}, "
+                              f"got {','.join(header)[:60]!r}")
         start = f.tell()
         if not any(line.strip() for line in f):
             raise FormatError(f"{path}: no data rows")
@@ -196,6 +200,9 @@ def cmd_train(args):
     test_X = test_y = None
     if args.test_features:
         test_X, test_y = _load_features_csv(args.test_features)
+    if np.unique(y).size < 2:
+        raise InvalidInputError(f"{args.features}: every row has label {y[0]}; "
+                                "training needs two classes or more")
     sizes = [X.shape[1]] + args.hidden + [int(y.max()) + 1]
     seed = derived_seed(args.seed, "train")
     net = training.init_network(sizes, seed=seed)
@@ -308,12 +315,8 @@ def cmd_flip(args):
     opts = flips.SolveOptions(restarts=args.restarts,
                               seed=derived_seed(args.seed, "flip"))
     pair = (0, 1)
-    query = functools.partial(flips.compare, net, pair=pair, opts=opts)
-    if args.threads > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.threads) as ex:
-            results = list(ex.map(query, X[:count]))
-    else:
-        results = list(map(query, X[:count]))
+    stats = flips.SolverStats()
+    results = flips.comparisons(net, X[:count], [pair] * count, opts, stats)
 
     converged = np.array([m.flip.converged for m in results], dtype=bool)
     legit = ["not-checked"] * count
@@ -332,7 +335,9 @@ def cmd_flip(args):
               ["id", "class_pair", "distance", "taylor_distance", "beta",
                "directional_ratio", "angle_deg", "status", "legitimate"],
               rows)
-    write_manifest(args, [out_path], {"converged_fraction": int(converged.sum()) / max(count, 1)})
+    write_manifest(args, [out_path], {"converged_fraction": int(converged.sum()) / max(count, 1),
+                                      "solver_evaluations": stats.evaluations,
+                                      "solver_rows": stats.rows})
 
 
 def cmd_path(args):
@@ -422,7 +427,8 @@ def build_parser():
         """Subparser with the shared options and the required input flags."""
         p = sub.add_parser(name, help=help)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted and ignored; no subcommand uses a process pool")
         p.add_argument("--out-dir", default="out")
         for flag in required:
             p.add_argument(flag, required=True)

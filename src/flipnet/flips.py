@@ -7,7 +7,9 @@ logit-equality constraint with a quadratic penalty on violated
 dominance inequalities, inner solves by L-BFGS, multi-start from
 perturbed seeds, and a final polish: the ray search towards the
 solver's point (a doubling bracket, then Brent's method), then a
-tangent step. The first-order Taylor baseline and its comparison
+tangent step. Every (query, start) pair is a row of one iterate array,
+so each objective evaluation is one forward pass and one VJP over all
+rows still running. The first-order Taylor baseline and its comparison
 metrics live here too.
 """
 
@@ -16,7 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize
+# minimize is unused here: perfbench/spans.py wraps this name until benchmark v2
+from scipy.optimize import brentq, minimize  # noqa: F401
 
 from .errors import DegenerateGradientError, InvalidParameterError
 from .features import haar3d_inverse, scatter_selector
@@ -70,7 +73,25 @@ OUTER_TOL = 1e-8  # on the logit-equality residual
 PENALTY_INIT = 10.0
 PENALTY_GROWTH = 10.0
 INNER_MAXITER = 500
+INNER_FTOL = 1e-14  # relative decrease of the objective that ends an inner solve
+INNER_GTOL = 1e-12  # largest gradient component that ends an inner solve
+# L-BFGS-B's settings for an unbounded problem: curvature pairs kept,
+# and its Moré-Thuente line search's sufficient-decrease, curvature and
+# interval tolerances, evaluations per search and largest step
+MEMORY = 10
+LS_FTOL, LS_GTOL, LS_XTOL = 1e-3, 0.9, 0.1
+LS_EVALS = 20
+STEP_MAX = 1e10
+CHUNK_ROWS = 2048  # solver rows per iterate array; caps the memory of a solve
 PIXEL_TOL = 1e-6  # a legitimate image's pixels lie in [0, 1] to within this
+
+
+@dataclass
+class SolverStats:
+    """Work of the batched solver, summed over the calls it is passed to."""
+
+    evaluations: int = 0  # batched objective evaluations
+    rows: int = 0  # rows evaluated, summed over those evaluations
 
 
 @dataclass
@@ -91,13 +112,6 @@ def _check_pair(net, pair):
     return i, j
 
 
-def _pair_coeffs(class_count, i, j):
-    c = np.zeros(class_count)
-    c[i] = 1.0
-    c[j] = -1.0
-    return c
-
-
 def _residuals(z, i, j):
     """Softmax-space equality residual and dominance margin, from logits z."""
     s = softmax_rows(z)
@@ -111,10 +125,21 @@ def _logits(net, p):
     return forward_batch(net, p[None, :])[0][0]
 
 
-def _gap_and_grad(net, p, i, j):
-    """Logit gap z_i - z_j at p and its input gradient: one forward pass, one VJP."""
-    z, preacts = forward_batch(net, p[None, :])
-    return z[0, i] - z[0, j], vjp(net, preacts, _pair_coeffs(net.class_count, i, j))[0]
+def _pair_rows(net, pairs):
+    """Class ids (I, J) of a sequence of pairs, each checked by _check_pair."""
+    checked = [_check_pair(net, pair) for pair in pairs]
+    return np.array(checked, dtype=np.int64).reshape(len(checked), 2).T
+
+
+def _gaps_and_grads(net, P, I, J):
+    """Logit gaps z_i - z_j at the rows of P and their input gradients:
+    one forward pass, one VJP."""
+    z, preacts = forward_batch(net, P)
+    r = np.arange(len(P))
+    coeffs = np.zeros((len(P), net.class_count))
+    coeffs[r, I] = 1.0
+    coeffs[r, J] = -1.0
+    return z[r, I] - z[r, J], vjp(net, preacts, coeffs)
 
 
 def _make_result(x, p, pair, z):
@@ -137,88 +162,468 @@ def _tangent_polish(net, x, p, i, j, iters=30):
 
     Repeatedly projects x onto the linearization of the boundary at the
     current iterate; exact in one step for linear models, and removes
-    the inner solver's tangential drift otherwise.
+    the inner solver's tangential drift otherwise. x and p are [..., d]
+    stacks of equal shape with pairs (i, j) broadcast over their rows;
+    every step is one forward pass and one VJP over the rows still
+    moving, and each row stops on its own.
     """
-    q = np.asarray(p, dtype=np.float64).copy()
+    X = np.asarray(x, dtype=np.float64).reshape(-1, np.shape(x)[-1])
+    Q = np.array(p, dtype=np.float64).reshape(X.shape)
+    I, J = np.broadcast_to(i, len(Q)), np.broadcast_to(j, len(Q))
+    live = np.arange(len(Q))
     for _ in range(iters):
-        g, grad = _gap_and_grad(net, q, i, j)
-        denom = float(grad @ grad)
-        if denom <= 1e-300:
+        if not live.size:
             break
-        q_new = x - ((g + grad @ (x - q)) / denom) * grad
-        if not np.all(np.isfinite(q_new)):
-            break
-        step = np.linalg.norm(q_new - q)
-        q = q_new
-        if step <= 1e-14 * max(1.0, np.linalg.norm(q)):
-            break
-    return q
+        q, x_ = Q[live], X[live]
+        g, grad = _gaps_and_grads(net, q, I[live], J[live])
+        denom = np.einsum("rd,rd->r", grad, grad)
+        with np.errstate(all="ignore"):
+            q_new = x_ - ((g + np.einsum("rd,rd->r", grad, x_ - q)) / denom)[:, None] * grad
+        moves = (denom > 1e-300) & np.all(np.isfinite(q_new), axis=1)
+        Q[live[moves]] = q_new[moves]
+        step = np.linalg.norm(q_new - q, axis=1)
+        settled = step <= 1e-14 * np.maximum(1.0, np.linalg.norm(q_new, axis=1))
+        live = live[moves & ~settled]
+    return Q.reshape(np.shape(p))
 
 
-def _augmented_lagrangian_solve(net, x, start, pair):
-    """One multi-start branch: outer AL loop with L-BFGS inner solves."""
-    i, j = pair
-    c_eq = _pair_coeffs(net.class_count, i, j)
-    lam = 0.0
-    mu = PENALTY_INIT
-    p = np.asarray(start, dtype=np.float64).copy()
+def _al_objective(net, rows):
+    """Logits, augmented-Lagrangian objective and its gradient at the
+    trial points of the solver rows: one forward pass, one VJP."""
+    T, i, j, lam, mu = rows.t, rows.i, rows.j, rows.lam, rows.mu
+    z, preacts = forward_batch(net, T)
+    r = np.arange(len(T))
+    zi = z[r, i]
+    h = zi - z[r, j]
+    # z_l - z_i where positive, for each class l outside the pair
+    v = np.maximum(z - zi[:, None], 0.0)
+    v[r, j] = 0.0
+    dx = T - rows.x
+    f = (dx * dx).sum(axis=1) + lam * h + 0.5 * mu * h * h
+    f += 0.5 * mu * (v * v).sum(axis=1)
+    # one sweep for the equality term and every violated dominance
+    # term: sum_l mu * v_l * (e_l - e_i)
+    coeffs = mu[:, None] * v
+    coeffs[r, i] += lam + mu * h - mu * v.sum(axis=1)
+    coeffs[r, j] -= lam + mu * h
+    return z, f, 2.0 * dx + vjp(net, preacts, coeffs)
 
-    def violations(z):
-        """z_k - z_i where positive, for each class k outside the pair."""
-        v = np.maximum(z - z[i], 0.0)
-        v[j] = 0.0
-        return v
 
-    def objective(q):
-        z, preacts = forward_batch(net, q[None, :])
-        z = z[0]
-        h = z[i] - z[j]
-        v = violations(z)
-        val = float(np.dot(q - x, q - x)) + lam * h + 0.5 * mu * h * h
-        val += 0.5 * mu * float(v @ v)
-        # one sweep for the equality term and every violated dominance
-        # term: sum_k mu * v_k * (e_k - e_i)
-        coeffs = (lam + mu * h) * c_eq + mu * v
-        coeffs[i] -= mu * v.sum()
-        return val, 2.0 * (q - x) + vjp(net, preacts, coeffs)[0]
+class _Rows:
+    """State of the rows of one batched solve; every attribute is an
+    array whose first axis is the row."""
 
-    z = _logits(net, p)
-    prev_h = abs(z[i] - z[j])
-    for _ in range(MAX_OUTER):
-        res = minimize(
-            objective, p, jac=True, method="L-BFGS-B",
-            options={"maxiter": INNER_MAXITER, "ftol": 1e-14, "gtol": 1e-12},
-        )
-        p = res.x
-        z = _logits(net, p)
-        h = z[i] - z[j]
-        if abs(h) <= OUTER_TOL and violations(z).max() <= OUTER_TOL:
-            break
-        lam += mu * h
-        if abs(h) > 0.25 * prev_h:
-            mu *= PENALTY_GROWTH
-        prev_h = abs(h)
+    def __init__(self, **arrays):
+        vars(self).update(arrays)
 
-    # Polish: the first crossing on the ray x -> p is on the boundary and
-    # no farther from x than p itself. The iterate can sit marginally on
-    # the query side of the boundary, so the search runs a little past p.
-    result = _make_result(x, p, pair, z)
-    if result.distance > 0.0:
-        crossing = flip_along_direction(net, x, p - x, pair, t_max=1.1 * result.distance)
-        if (crossing.status != STATUS_BRACKET_FAILED
-                and crossing.dominance_margin >= -1e-8
-                and crossing.equality_residual <= max(result.equality_residual, 1e-6)):
-            result = crossing
-    # Remove tangential drift left by the inner solver; keep the
-    # polished point only when it is no farther, stays feasible and
-    # stays on the boundary to rounding.
-    polished = _tangent_polish(net, x, result.point, i, j)
-    z_t = _logits(net, polished)
-    eq_t, margin_t = _residuals(z_t, i, j)
-    if (margin_t >= -1e-8 and eq_t <= max(result.equality_residual, 1e-12)
-            and np.linalg.norm(polished - x) <= result.distance + 1e-12):
-        result = _make_result(x, polished, pair, z_t)
-    return result
+    def keep(self, mask):
+        for name, value in vars(self).items():
+            setattr(self, name, value[mask])
+
+
+# Columns of the line-search state rows.ls: the trial step, f and the
+# slope at step 0, the best step so far (stx) and the interval's other
+# end (sty) with f and the slope at each, the bounds of the next step,
+# the last two interval widths, and two flags (bracketed, second stage)
+(_STP, _F0, _G0, _STX, _FX, _GX, _STY, _FY, _GY, _STMIN, _STMAX, _WIDTH, _WIDTH1, _BRACKT,
+ _STAGE2) = range(15)
+
+
+def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
+    """MINPACK-2's dcstep: a safeguarded step from the interval [stx, sty]
+    and the trial step stp (f and slope at each), and the new interval.
+
+    Returns (step, stx, fx, dx, sty, fy, dy, brackt). Square roots of
+    negative rounding residues are taken as 0.
+    """
+    sgnd = dp * math.copysign(1.0, dx) if dx else math.nan
+    if fp > fx or sgnd < 0.0 or abs(dp) < abs(dx):
+        # the cubic through (stx, fx, dx) and (stp, fp, dp)
+        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+        s = max(abs(theta), abs(dx), abs(dp))
+        gamma = s * math.sqrt(max((theta / s) ** 2 - (dx / s) * (dp / s), 0.0))
+        if (stp < stx) if fp > fx else (stp > stx):
+            gamma = -gamma
+    if fp > fx:
+        # higher f: the minimum is bracketed; the cubic's step, or
+        # halfway to the quadratic's
+        r = ((gamma - dx) + theta) / (((gamma - dx) + gamma) + dp)
+        stpc = stx + r * (stp - stx)
+        stpq = stx + ((dx / ((fx - fp) / (stp - stx) + dx)) / 2.0) * (stp - stx)
+        step = stpc if abs(stpc - stx) < abs(stpq - stx) else stpc + (stpq - stpc) / 2.0
+        brackt = True
+    elif sgnd < 0.0:
+        # slopes of opposite sign: bracketed; the cubic's or the secant's step
+        r = ((gamma - dp) + theta) / (((gamma - dp) + gamma) + dx)
+        stpc = stp + r * (stx - stp)
+        stpq = stp + (dp / (dp - dx)) * (stx - stp)
+        step = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+        brackt = True
+    elif abs(dp) < abs(dx):
+        # same sign, slope shrinking: the cubic's step if it lies beyond stp
+        r = ((gamma - dp) + theta) / ((gamma + (dx - dp)) + gamma)
+        if r < 0.0 and gamma != 0.0:
+            stpc = stp + r * (stx - stp)
+        else:
+            stpc = stpmax if stp > stx else stpmin
+        stpq = stp + (dp / (dp - dx)) * (stx - stp)
+        if brackt:
+            step = stpc if abs(stpc - stp) < abs(stpq - stp) else stpq
+            toward = stp + 0.66 * (sty - stp)
+            step = min(toward, step) if stp > stx else max(toward, step)
+        else:
+            step = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+            step = max(stpmin, min(stpmax, step))
+    elif brackt:
+        # same sign, slope not shrinking: the cubic through sty
+        theta = 3.0 * (fp - fy) / (sty - stp) + dy + dp
+        s = max(abs(theta), abs(dy), abs(dp))
+        gamma = s * math.sqrt(max((theta / s) ** 2 - (dy / s) * (dp / s), 0.0))
+        if stp > sty:
+            gamma = -gamma
+        r = ((gamma - dp) + theta) / (((gamma - dp) + gamma) + dy)
+        step = stp + r * (sty - stp)
+    else:
+        step = stpmax if stp > stx else stpmin
+    if fp > fx:
+        sty, fy, dy = stp, fp, dp
+    else:
+        if sgnd < 0.0:
+            sty, fy, dy = stx, fx, dx
+        stx, fx, dx = stp, fp, dp
+    return step, stx, fx, dx, sty, fy, dy, brackt
+
+
+def _next_step(state, f, g):
+    """The next trial step of one row's line search that neither converged
+    nor stalled at step state[_STP] (f and slope g there): MINPACK-2's
+    dcsrch after its tests. Returns the row's new state, or None where
+    a division by zero leaves no step (the Fortran code goes on with a
+    NaN step there).
+    """
+    stp, f0, g0, stx, fx, gx, sty, fy, gy, stmin, stmax, width, width1, brackt, stage2 = state
+    gtest = LS_FTOL * g0
+    ftest = f0 + stp * gtest
+    stage2 = stage2 or (f <= ftest and g >= 0.0)
+    # in the first stage, steps are chosen on f less its decrease line
+    shift = gtest if not stage2 and f <= fx and f > ftest else 0.0
+    try:
+        step, stx, fx, gx, sty, fy, gy, brackt = _dcstep(
+            stx, fx - stx * shift, gx - shift, sty, fy - sty * shift, gy - shift,
+            stp, f - stp * shift, g - shift, brackt, stmin, stmax)
+    except ZeroDivisionError:
+        return None
+    fx, fy, gx, gy = fx + stx * shift, fy + sty * shift, gx + shift, gy + shift
+    if brackt:
+        if abs(sty - stx) >= 0.66 * width1:
+            step = stx + 0.5 * (sty - stx)
+        width1, width = width, abs(sty - stx)
+        stmin, stmax = min(stx, sty), max(stx, sty)
+    else:
+        stmin, stmax = step + 1.1 * (step - stx), step + 4.0 * (step - stx)
+    step = min(max(step, 0.0), STEP_MAX)
+    if brackt and (step <= stmin or step >= stmax or stmax - stmin <= LS_XTOL * stmax):
+        step = stx
+    return [step, f0, g0, stx, fx, gx, sty, fy, gy, stmin, stmax, width, width1, brackt, stage2]
+
+
+def _line_search_step(rows, f, g):
+    """One step of Moré and Thuente's line search (MINPACK-2's dcsrch, as
+    L-BFGS-B calls it) for every row in a search.
+
+    f and g are each row's objective and slope along rows.d at its trial
+    step. Returns the rows that take their trial step: the search
+    converged, or can make no more progress. Every other row in a search
+    gets its next step from _next_step.
+    """
+    stp, f0, g0, _, _, _, _, _, _, stmin, stmax = rows.ls.T[:_WIDTH]
+    brackt = rows.ls[:, _BRACKT] > 0.0
+    gtest = LS_FTOL * g0
+    ftest = f0 + stp * gtest
+    done = (rows.line
+            & ((brackt & ((stp <= stmin) | (stp >= stmax) | (stmax - stmin <= LS_XTOL * stmax)))
+               | ((stp == STEP_MAX) & (f <= ftest) & (g <= gtest))
+               | ((stp == 0.0) & ((f > ftest) | (g >= gtest)))
+               | ((f <= ftest) & (np.abs(g) <= -LS_GTOL * g0))))
+    on = (rows.line & ~done).nonzero()[0]
+    if on.size:
+        states = [_next_step(state, fk, gk) for state, fk, gk in
+                  zip(rows.ls[on].tolist(), f[on].tolist(), g[on].tolist())]
+        stuck = np.array([state is None for state in states])
+        done[on[stuck]] = True
+        if not stuck.all():
+            rows.ls[on[~stuck]] = [state for state in states if state is not None]
+    return done
+
+
+def _directions(rows, turn, new, s, y):
+    """Store the curvature pair (s, y) of each row of `new`, over its
+    oldest pair once MEMORY are kept; return -H g for the rows `turn`.
+
+    H is the inverse L-BFGS Hessian of a row's kept pairs with initial
+    scaling gamma = s.y / y.y of its newest pair, in the compact form of
+    Byrd, Nocedal and Schnabel (1994): H g = gamma g + S a - gamma Y b,
+    with b = R^-1 S'g, a = R^-T (D b + gamma (Y'Y b - Y'g)), R the upper
+    triangle of S'Y and D its diagonal. A row with no pairs gets -g.
+
+    rows.W keeps each row's s vectors in its first MEMORY slots and its
+    y vectors in the others, in turn. rows.D, rows.YY (y_k . y_l) and
+    rows.Rinv (R^-1) are kept oldest pair first: a new pair adds one
+    column to R^-1, and dropping the oldest pair keeps R^-1's trailing
+    block. One product of W with (g, y, s) gives every inner product the
+    update and a direction need, and one more sums H g.
+    """
+    m = MEMORY
+    if not turn.size:
+        return np.zeros((0, rows.g.shape[1]))
+    vectors = np.zeros(rows.g.shape + (3,))
+    vectors[:, :, 0] = rows.g
+    if new.size:
+        slot = rows.next[new]
+        rows.W[new, slot] = s
+        rows.W[new, m + slot] = y
+        rows.next[new] = (slot + 1) % m
+        full = new[rows.count[new] == m]
+        rows.D[full, :-1] = rows.D[full, 1:]
+        rows.YY[full, :-1, :-1] = rows.YY[full, 1:, 1:]
+        rows.Rinv[full, :-1, :-1] = rows.Rinv[full, 1:, 1:]
+        rows.count[new] = np.minimum(rows.count[new] + 1, m)
+        vectors[new, :, 1] = y
+        vectors[new, :, 2] = s
+    prods = np.matmul(rows.W, vectors)  # [row, slot, (g, y, s)]
+    # slot of the k-th oldest kept pair
+    r = np.arange(len(rows.g))[:, None]
+    order = ((rows.next - rows.count)[:, None] + np.arange(m)) % m
+    sp, yp = prods[r, order], prods[r, m + order]
+    kept = np.arange(m) < rows.count[:, None]
+    newest = np.maximum(rows.count - 1, 0)
+    if new.size:
+        k, pos = np.arange(new.size), newest[new]
+        rows.YY[new, :, pos] = rows.YY[new, pos, :] = yp[new, :, 1]
+        rows.D[new, pos] = sy = sp[new, pos, 1]
+        # R's new column is (S'y, s.y): R^-1 gains (-R^-1 S'y / s.y, 1 / s.y)
+        older = np.where(np.arange(m) < pos[:, None], sp[new, :, 1], 0.0)
+        column = -np.matmul(rows.Rinv[new], older[:, :, None])[:, :, 0] / sy[:, None]
+        column[k, pos] = 1.0 / sy
+        rows.Rinv[new, :, pos] = column
+
+    gamma = np.divide(rows.D[r[:, 0], newest], rows.YY[r[:, 0], newest, newest],
+                      out=np.ones(len(r)), where=rows.count > 0)
+    sg = np.where(kept, sp[:, :, 0], 0.0)[:, :, None]
+    yg = np.where(kept, yp[:, :, 0], 0.0)[:, :, None]
+    b = np.matmul(rows.Rinv, sg)
+    a = np.matmul(np.swapaxes(rows.Rinv, 1, 2),
+                  rows.D[:, :, None] * b + gamma[:, None, None] * (np.matmul(rows.YY, b) - yg))
+    coeffs = np.zeros((len(r), 2 * m))
+    coeffs[r, order] = np.where(kept, a[:, :, 0], 0.0)
+    coeffs[r, m + order] = -gamma[:, None] * b[:, :, 0]
+    hg = gamma[:, None] * rows.g + np.matmul(coeffs[:, None, :], rows.W)[:, 0]
+    return -hg[turn]
+
+
+def _al_iterate(net, X, starts, I, J, stats=None):
+    """Augmented-Lagrangian iterates of the rows (x, start, pair): the
+    last iterate of each row and its logits.
+
+    Each row runs the outer loop of one multi-start branch: L-BFGS inner
+    solves (L-BFGS-B's direction, line search and stopping tests, with
+    no bounds) of the objective with its own multiplier lam and penalty
+    mu, then the multiplier update. Rows are not in lockstep: each round
+    evaluates every running row's trial point in one _al_objective call,
+    and a row that ends an inner solve takes its outer update while the
+    others go on.
+    """
+    n, dim = starts.shape
+    zeros, falses = np.zeros(n), np.zeros(n, dtype=bool)
+    rows = _Rows(
+        id=np.arange(n), x=np.array(X, dtype=np.float64), i=np.asarray(I), j=np.asarray(J),
+        lam=zeros.copy(), mu=np.full(n, PENALTY_INIT), prev_h=zeros.copy(),
+        outer=np.zeros(n, dtype=np.int64),
+        # the iterate, its objective, gradient and logits
+        p=np.array(starts, dtype=np.float64), f=zeros.copy(), g=np.zeros((n, dim)),
+        z=np.zeros((n, net.class_count)),
+        # the point evaluated next; line is False on an inner solve's first evaluation
+        t=np.array(starts, dtype=np.float64), line=falses.copy(), it=np.zeros(n, dtype=np.int64),
+        # curvature pairs, see _directions
+        W=np.zeros((n, 2 * MEMORY, dim)), D=np.zeros((n, MEMORY)),
+        YY=np.zeros((n, MEMORY, MEMORY)), Rinv=np.zeros((n, MEMORY, MEMORY)),
+        count=np.zeros(n, dtype=np.int64), next=np.zeros(n, dtype=np.int64),
+        # the search direction, the line search's evaluations and its state
+        d=np.zeros((n, dim)), nls=np.zeros(n, dtype=np.int64), ls=np.zeros((n, 15)),
+    )
+    P, Z = np.empty((n, dim)), np.empty((n, net.class_count))
+    eps = np.finfo(float).eps
+    while rows.id.size:
+        z, f, g = _al_objective(net, rows)
+        if stats is not None:
+            stats.evaluations += 1
+            stats.rows += rows.id.size
+        gd = (g * rows.d).sum(axis=1)
+        accept = _line_search_step(rows, f, gd)
+        failed = rows.line & ~accept & (rows.nls >= LS_EVALS)
+        rows.nls += 1
+        first = ~rows.line
+        if first.any():
+            fresh = (first & (rows.outer == 0)).nonzero()[0]
+            rows.prev_h[fresh] = np.abs(z[fresh, rows.i[fresh]] - z[fresh, rows.j[fresh]])
+
+        # curvature pair of an accepted step, kept when s.y is positive
+        stp, g0 = rows.ls[:, _STP], rows.ls[:, _G0]
+        pair = accept & ((gd - g0) * stp > eps * (-g0 * stp))
+        s_new = stp[pair, None] * rows.d[pair]
+        y_new = g[pair] - rows.g[pair]
+        f_old = rows.f
+        moved = first | accept
+        if moved.all():
+            rows.p, rows.f, rows.g, rows.z = rows.t, f, g, z
+        else:
+            rows.f = np.where(moved, f, f_old)
+            rows.p[moved], rows.g[moved], rows.z[moved] = rows.t[moved], g[moved], z[moved]
+        rows.it += accept
+
+        # the inner solve's stopping tests
+        ended = moved & (np.abs(rows.g).max(axis=1) <= INNER_GTOL)
+        ended |= accept & ((rows.it >= INNER_MAXITER)
+                           | (f_old - f <= INNER_FTOL * np.maximum(
+                               np.maximum(np.abs(f_old), np.abs(f)), 1.0)))
+        # a failed line search restarts once from steepest descent
+        ended |= failed & (rows.count == 0)
+        rows.count[failed] = 0
+        keep = ~ended[pair]
+        turn = ((moved | failed) & ~ended).nonzero()[0]
+        d = _directions(rows, turn, pair.nonzero()[0][keep], s_new[keep], y_new[keep])
+        g0 = (rows.g[turn] * d).sum(axis=1)
+        uphill = ~(g0 < 0.0)
+        if uphill.any():
+            retry = uphill & (rows.count[turn] > 0)
+            rows.count[turn[retry]] = 0
+            d[retry] = -rows.g[turn[retry]]
+            g0[retry] = -(d[retry] * d[retry]).sum(axis=1)
+            ended[turn[uphill & ~retry]] = True
+            d, g0, turn = d[~uphill | retry], g0[~uphill | retry], turn[~uphill | retry]
+        # a new line search from step 1, or from a unit step on an inner
+        # solve's first iteration
+        rows.d[turn] = d
+        start = np.where(rows.it[turn] == 0,
+                         np.minimum(1.0 / np.sqrt((d * d).sum(axis=1)), STEP_MAX), 1.0)
+        rows.line[turn] = True
+        rows.nls[turn] = 1
+        state = np.zeros((turn.size, 15))
+        state[:, [_F0, _FX, _FY]] = rows.f[turn, None]
+        state[:, [_G0, _GX, _GY]] = g0[:, None]
+        state[:, _STP], state[:, _STMAX] = start, 5.0 * start
+        state[:, _WIDTH], state[:, _WIDTH1] = STEP_MAX, 2.0 * STEP_MAX
+        rows.ls[turn] = state
+        rows.t = rows.p + rows.ls[:, _STP, None] * rows.d
+
+        # outer update of the rows whose inner solve ended
+        e = ended.nonzero()[0]
+        if e.size:
+            z, i, j, r = rows.z[e], rows.i[e], rows.j[e], np.arange(e.size)
+            h = z[r, i] - z[r, j]
+            v = np.maximum(z - z[r, i][:, None], 0.0)
+            v[r, j] = 0.0
+            tied = (np.abs(h) <= OUTER_TOL) & (v.max(axis=1) <= OUTER_TOL)
+            rows.lam[e] += np.where(tied, 0.0, rows.mu[e] * h)
+            rows.mu[e] *= np.where(~tied & (np.abs(h) > 0.25 * rows.prev_h[e]), PENALTY_GROWTH, 1.0)
+            rows.prev_h[e] = np.abs(h)
+            rows.outer[e] += 1
+            done = tied | (rows.outer[e] >= MAX_OUTER)
+            again = e[~done]
+            rows.line[again] = False
+            rows.it[again] = rows.count[again] = 0
+            rows.t[again] = rows.p[again]
+            if done.any():
+                P[rows.id[e[done]]] = rows.p[e[done]]
+                Z[rows.id[e[done]]] = rows.z[e[done]]
+                running = np.ones(rows.id.size, dtype=bool)
+                running[e[done]] = False
+                rows.keep(running)
+    return P, Z
+
+
+def _polish(net, X, P, Z, pairs):
+    """FlipResults of the solver rows' last iterates P (logits Z).
+
+    The first crossing on the ray x -> p is on the boundary and no
+    farther from x than p itself; the iterate can sit marginally on the
+    query side of the boundary, so the search runs a little past p. The
+    tangent polish then removes tangential drift left by the inner
+    solver; its point is kept only when it is no farther, stays feasible
+    and stays on the boundary to rounding.
+    """
+    results = []
+    for x, p, z, pair in zip(X, P, Z, pairs):
+        result = _make_result(x, p, pair, z)
+        if result.distance > 0.0:
+            crossing = flip_along_direction(net, x, p - x, pair, t_max=1.1 * result.distance)
+            if (crossing.status != STATUS_BRACKET_FAILED
+                    and crossing.dominance_margin >= -1e-8
+                    and crossing.equality_residual <= max(result.equality_residual, 1e-6)):
+                result = crossing
+        results.append(result)
+    if not results:
+        return results
+    I, J = np.array(pairs).T
+    polished = _tangent_polish(net, X, np.array([r.point for r in results]), I, J)
+    Z_t = forward_batch(net, polished)[0]
+    for k, (x, q, z_t, pair) in enumerate(zip(X, polished, Z_t, pairs)):
+        eq_t, margin_t = _residuals(z_t, *pair)
+        if (margin_t >= -1e-8 and eq_t <= max(results[k].equality_residual, 1e-12)
+                and np.linalg.norm(q - x) <= results[k].distance + 1e-12):
+            results[k] = _make_result(x, q, pair, z_t)
+    return results
+
+
+def _augmented_lagrangian_solve(net, X, starts, pairs, stats=None):
+    """Polished flip candidates of the solver rows (x, start, pair), CHUNK_ROWS
+    rows per iterate array."""
+    X = np.asarray(X, dtype=np.float64)
+    starts = np.asarray(starts, dtype=np.float64)
+    pairs = [tuple(pair) for pair in pairs]
+    results = []
+    for lo in range(0, len(starts), CHUNK_ROWS):
+        chunk = slice(lo, lo + CHUNK_ROWS)
+        I, J = np.array(pairs[chunk], dtype=np.int64).reshape(-1, 2).T
+        P, Z = _al_iterate(net, X[chunk], starts[chunk], I, J, stats)
+        results += _polish(net, X[chunk], P, Z, pairs[chunk])
+    return results
+
+
+def closest_flips(net, X, pairs, opts=None, stats=None):
+    """closest_flip for each row of X with its pair, in one batched solve.
+
+    Every (query, start) pair is a row of the solver; a query already on
+    the boundary gets no rows. stats, a SolverStats, accumulates the
+    solver's work.
+    """
+    opts = opts or SolveOptions()
+    X = np.asarray(X, dtype=np.float64)
+    I, J = _pair_rows(net, pairs)
+    pairs = list(zip(I.tolist(), J.tolist()))
+    Z = forward_batch(net, X)[0]
+
+    # every query draws the same perturbations, from a generator seeded alike
+    rng = np.random.default_rng(opts.seed)
+    radii = [0.01, 0.1]
+    noise = [(radii[(r // 2) % len(radii)], rng.standard_normal(X.shape[1:]))
+             for r in range(opts.restarts)]
+    results = [None] * len(X)
+    queries, starts = [], []
+    for q, (x, z, pair) in enumerate(zip(X, Z, pairs)):
+        eq, margin = _residuals(z, *pair)
+        if eq == 0.0 and margin >= 0.0:  # on the boundary: its own flip point
+            results[q] = _make_result(x, x.copy(), pair, z)
+            continue
+        scale = max(np.linalg.norm(x), 1.0)
+        queries += [q] * (1 + opts.restarts)
+        starts += [x] + [x + (radius * scale) * e for radius, e in noise]
+    solved = _augmented_lagrangian_solve(
+        net, X[queries], starts, [pairs[q] for q in queries], stats)
+    for q, result in zip(queries, solved):
+        if results[q] is None or rank(result) < rank(results[q]):
+            results[q] = result
+    return results
 
 
 def closest_flip(net, x, pair, opts=None):
@@ -229,25 +634,7 @@ def closest_flip(net, x, pair, opts=None):
     that ranks lowest by `rank`: the nearest converged one, else the
     non-converged iterate with the smallest equality residual.
     """
-    opts = opts or SolveOptions()
-    x = np.asarray(x, dtype=np.float64)
-    i, j = _check_pair(net, pair)
-
-    # A query already on the boundary is its own flip point.
-    z = _logits(net, x)
-    eq, margin = _residuals(z, i, j)
-    if eq == 0.0 and margin >= 0.0:
-        return _make_result(x, x.copy(), (i, j), z)
-
-    rng = np.random.default_rng(opts.seed)
-    seeds = [x]
-    radii = [0.01, 0.1]
-    scale = max(np.linalg.norm(x), 1.0)
-    for r in range(opts.restarts):
-        radius = radii[(r // 2) % len(radii)] * scale
-        seeds.append(x + radius * rng.standard_normal(x.shape))
-
-    return min((_augmented_lagrangian_solve(net, x, s, pair) for s in seeds), key=rank)
+    return closest_flips(net, np.asarray(x, dtype=np.float64)[None, :], [pair], opts)[0]
 
 
 def flip_along_direction(net, x, direction, pair, t_max=None):
@@ -305,16 +692,29 @@ def flip_along_direction(net, x, direction, pair, t_max=None):
     return _make_result(x, x + t_star * d, pair, logits(t_star))
 
 
+def _taylor_estimates(net, X, I, J):
+    """TaylorEstimate of each row of X for its pair (I, J), from one
+    forward pass and one VJP; None where the gradient is (near) zero."""
+    gaps, grads = _gaps_and_grads(net, X, I, J)
+    estimates = []
+    for g, grad, gnorm in zip(gaps, grads, np.linalg.norm(grads, axis=1)):
+        if gnorm < 1e-14:
+            estimates.append(None)
+            continue
+        sign = 1.0 if g >= 0 else -1.0
+        estimates.append(TaylorEstimate(distance=float(abs(g) / gnorm),
+                                        direction=-sign * grad / gnorm))
+    return estimates
+
+
 def taylor_estimate(net, x, pair):
     """First-order distance |g| / ||grad g|| and steepest direction to the
     linearized boundary, for g = z_i - z_j."""
     x = np.asarray(x, dtype=np.float64)
-    g, grad = _gap_and_grad(net, x, *_check_pair(net, pair))
-    gnorm = np.linalg.norm(grad)
-    if gnorm < 1e-14:
+    tay = _taylor_estimates(net, x[None, :], *_pair_rows(net, [pair]))[0]
+    if tay is None:
         raise DegenerateGradientError("logit-difference gradient is (near) zero")
-    sign = 1.0 if g >= 0 else -1.0
-    return TaylorEstimate(distance=float(abs(g) / gnorm), direction=-sign * grad / gnorm)
+    return tay
 
 
 def angle_degrees(u, v):
@@ -333,6 +733,57 @@ def angle_degrees(u, v):
     return float(np.degrees(np.arctan2(perp, c)))
 
 
+def _metrics(x, flip, tay, directional):
+    """ComparisonMetrics of a query from its three results; NaN metrics
+    when it has no Taylor estimate."""
+    nan = float("nan")
+    if tay is None:
+        return ComparisonMetrics(beta=nan, directional_ratio=nan, angle_deg=nan, flip=flip,
+                                 taylor=TaylorEstimate(distance=nan, direction=None))
+    beta = flip.distance / tay.distance if tay.distance > 0 else nan
+    if directional.converged and flip.converged and flip.distance > 0:
+        directional_ratio = directional.distance / flip.distance
+    else:
+        directional_ratio = nan
+    if flip.converged and flip.distance > 0:
+        angle = angle_degrees(tay.direction, flip.point - x)
+    else:
+        angle = nan
+    return ComparisonMetrics(
+        beta=float(beta),
+        directional_ratio=float(directional_ratio),
+        angle_deg=float(angle),
+        flip=flip,
+        taylor=tay,
+        directional=directional,
+    )
+
+
+def comparisons(net, X, pairs, opts=None, stats=None):
+    """compare() for each row of X with its pair, batched.
+
+    One forward pass and one VJP give every Taylor estimate, and
+    closest_flips solves every (query, start) in one call. The queries
+    whose directional point ranks ahead of their solver result are then
+    re-seeded from it in one more batched solve. stats, a SolverStats,
+    accumulates the work of both solves.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    I, J = _pair_rows(net, pairs)
+    pairs = list(zip(I.tolist(), J.tolist()))
+    tays = _taylor_estimates(net, X, I, J)
+    solved = closest_flips(net, X, pairs, opts, stats)
+    directionals = [None if tay is None else flip_along_direction(net, x, tay.direction, pair)
+                    for x, tay, pair in zip(X, tays, pairs)]
+    reseed = [q for q, (flip, directional) in enumerate(zip(solved, directionals))
+              if directional is not None and rank(directional) < rank(flip)]
+    reseeded = _augmented_lagrangian_solve(
+        net, X[reseed], [directionals[q].point for q in reseed], [pairs[q] for q in reseed], stats)
+    for q, result in zip(reseed, reseeded):
+        solved[q] = min((solved[q], result, directionals[q]), key=rank)
+    return [_metrics(*args) for args in zip(X, solved, tays, directionals)]
+
+
 def compare(net, x, pair, opts=None):
     """Closest flip vs Taylor baseline vs directional search.
 
@@ -343,39 +794,7 @@ def compare(net, x, pair, opts=None):
     undefined, the solver runs once and beta, directional_ratio and
     angle_deg are NaN.
     """
-    x = np.asarray(x, dtype=np.float64)
-    try:
-        tay = taylor_estimate(net, x, pair)
-    except DegenerateGradientError:
-        nan = float("nan")
-        return ComparisonMetrics(
-            beta=nan, directional_ratio=nan, angle_deg=nan,
-            flip=closest_flip(net, x, pair, opts),
-            taylor=TaylorEstimate(distance=nan, direction=None),
-        )
-    flip = closest_flip(net, x, pair, opts)
-    directional = flip_along_direction(net, x, tay.direction, pair)
-    if rank(directional) < rank(flip):
-        reseeded = _augmented_lagrangian_solve(net, x, directional.point, pair)
-        flip = min((flip, reseeded, directional), key=rank)
-
-    beta = flip.distance / tay.distance if tay.distance > 0 else float("nan")
-    if directional.converged and flip.converged and flip.distance > 0:
-        directional_ratio = directional.distance / flip.distance
-    else:
-        directional_ratio = float("nan")
-    if flip.converged and flip.distance > 0:
-        angle = angle_degrees(tay.direction, flip.point - x)
-    else:
-        angle = float("nan")
-    return ComparisonMetrics(
-        beta=float(beta),
-        directional_ratio=float(directional_ratio),
-        angle_deg=float(angle),
-        flip=flip,
-        taylor=tay,
-        directional=directional,
-    )
+    return comparisons(net, np.asarray(x, dtype=np.float64)[None, :], [pair], opts)[0]
 
 
 def check_legitimate_image(points, sel, base_coeffs):

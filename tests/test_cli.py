@@ -100,15 +100,16 @@ class TestPipeline:
         net = Network([Layer(np.array([[1.0, 0.0, 0.0]]), np.array([50.0]), 1.0),
                        Layer(np.array([[1.0], [-1.0]]), np.zeros(2), 1.0)])
         calls = []
-        closest_flip = flips.closest_flip
+        solve = flips._augmented_lagrangian_solve
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return closest_flip(*args, **kwargs)
+        def counted(net, X, starts, pairs, stats=None):
+            if len(starts):
+                calls.append(len(starts))
+            return solve(net, X, starts, pairs, stats)
 
-        monkeypatch.setattr(flips, "closest_flip", counted)
+        monkeypatch.setattr(flips, "_augmented_lagrangian_solve", counted)
         metrics = flips.compare(net, np.zeros(3), (0, 1), SolveOptions(restarts=0))
-        assert len(calls) == 1
+        assert calls == [1]  # one solve of its one start, no re-seeded solve
         assert np.isnan(metrics.beta)
         assert metrics.flip is not None
 
@@ -360,6 +361,42 @@ class TestMalformedInputs:
             assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("header", ["none", "empty", "swapped", "renamed"])
+    def test_features_csv_header_is_checked(self, trained_dir, tmp_path, capsys, header):
+        # a headerless file would lose its first point to the header
+        lines = (trained_dir / "test_features.csv").read_text().splitlines()
+        names = lines[0].split(",")
+        header = {"none": None, "empty": "",
+                  "swapped": ",".join([names[0], names[2], names[1]] + names[3:]),
+                  "renamed": ",".join(["id"] + names[1:])}[header]
+        rows = lines[1:]
+        feats = tmp_path / "features.csv"
+        feats.write_text("\n".join(([] if header is None else [header]) + rows) + "\n")
+        inputs = ["--checkpoint", trained_dir / "checkpoint.bin", "--features", feats]
+        for argv in (["train", "--features", feats, "--epochs", 1],
+                     ["flip", *inputs, "--count", 1, "--restarts", 0],
+                     ["path", *inputs, "--id1", 0, "--id2", 1],
+                     ["regions", *inputs],
+                     ["attack", *inputs, "--count", 1, "--restarts", 0]):
+            assert run(argv + ["--out-dir", tmp_path / "out"]) == 1
+            err = capsys.readouterr().err
+            assert f"kind=FormatError message={feats}:1: the header must be label,c0," in err
+            assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_train_rejects_one_class(self, trained_dir, tmp_path, capsys):
+        lines = (trained_dir / "train_features.csv").read_text().splitlines()
+        rows = [line for line in lines[1:] if line.split(",", 1)[0] == "1"]
+        assert rows
+        feats = tmp_path / "features.csv"
+        feats.write_text("\n".join([lines[0]] + rows) + "\n")
+        code = run(["train", "--features", feats, "--hidden", 4, "--epochs", 2,
+                    "--out-dir", tmp_path / "out"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "kind=InvalidInputError" in err and "two classes" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flag", ["--features", "--test-features"])
     def test_train_rejects_non_finite_features(self, trained_dir, tmp_path, capsys, flag):
         lines = (trained_dir / "train_features.csv").read_text().splitlines()
@@ -544,7 +581,10 @@ class TestManifest:
         assert run([*command_argv("flip", data_dir, trained_dir), "--out-dir", tmp_path]) == 0
         manifest = read_manifest(tmp_path / "manifest_flip.txt")
         assert 0.0 <= float(manifest["result.converged_fraction"]) <= 1.0
-        assert not any("converged" in k for k in manifest if k.startswith("config."))
+        evaluations = int(manifest["result.solver_evaluations"])
+        assert 0 < evaluations <= int(manifest["result.solver_rows"])
+        assert not any(word in k for k in manifest if k.startswith("config.")
+                       for word in ("converged", "solver"))
 
     def test_prepare_records_coefficient_digests(self, data_dir, tmp_path):
         digests = []

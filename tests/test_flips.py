@@ -83,14 +83,16 @@ def dominant_pair_boundary_oracle(net, x, pair, lo=-2.0, hi=2.0, step=1e-2):
 
 
 class PassCounter:
-    """Counts forward_batch and vjp calls made through the flips module."""
+    """Counts forward_batch and vjp calls made through the flips module,
+    and the rows of the forward passes."""
 
     def __init__(self, monkeypatch):
-        self.forward = self.vjp = 0
+        self.forward = self.vjp = self.rows = 0
         forward_batch, vjp = flips.forward_batch, flips.vjp
 
         def counted_forward(*args):
             self.forward += 1
+            self.rows += len(args[1])
             return forward_batch(*args)
 
         def counted_vjp(*args):
@@ -217,22 +219,27 @@ class TestClosestFlip:
         assert abs(z[2] - z[1]) <= 1e-6
 
     def test_one_pass_per_objective_evaluation(self, rng, monkeypatch):
+        # each solver round evaluates every running (query, start) row
+        # with one forward pass and one VJP, and makes no other pass
         counter = PassCounter(monkeypatch)
-        per_eval = []
-        minimize = flips.minimize
+        passes = []
+        iterate = flips._al_iterate
 
-        def counting_minimize(fun, x0, **kwargs):
-            def counted(q):
-                before = (counter.forward, counter.vjp)
-                out = fun(q)
-                per_eval.append((counter.forward - before[0], counter.vjp - before[1]))
-                return out
-            return minimize(counted, x0, **kwargs)
+        def counted(*args):
+            before = (counter.forward, counter.vjp, counter.rows)
+            out = iterate(*args)
+            passes.append((counter.forward - before[0], counter.vjp - before[1],
+                           counter.rows - before[2]))
+            return out
 
-        monkeypatch.setattr(flips, "minimize", counting_minimize)
+        monkeypatch.setattr(flips, "_al_iterate", counted)
         net = make_random_net(rng, [3, 6, 4])
-        closest_flip(net, rng.standard_normal(3), (0, 1), SolveOptions(restarts=1))
-        assert per_eval and set(per_eval) == {(1, 1)}
+        stats = flips.SolverStats()
+        flips.closest_flips(net, rng.standard_normal((3, 3)), [(0, 1), (1, 0), (2, 1)],
+                            SolveOptions(restarts=1), stats)
+        assert passes == [(stats.evaluations, stats.evaluations, stats.rows)]
+        # the first round evaluates all 3 x 2 rows at their starts
+        assert stats.evaluations > 1 and stats.rows > 6
 
     def test_one_pass_per_tangent_polish_iteration(self, rng, monkeypatch):
         net = make_random_net(rng, [3, 6, 2])
@@ -243,6 +250,92 @@ class TestClosestFlip:
             counter.forward = counter.vjp = 0
             flips._tangent_polish(net, x, p, 0, 1, iters=iters)
             assert (counter.forward, counter.vjp) == (iters, iters)
+
+
+class TestBatchedSolve:
+    """Many queries in one call: each row's answer is its own query's."""
+
+    def test_linear_queries_with_mixed_pairs(self, rng):
+        net = make_linear_net(rng, 8)
+        X = rng.standard_normal((200, 8))
+        pairs = [(0, 1) if q % 3 else (1, 0) for q in range(200)]
+        results = flips.closest_flips(net, X, pairs, SolveOptions(restarts=1))
+        assert len(results) == 200
+        W, b = net.layers[0].weights, net.layers[0].bias
+        for x, pair, res in zip(X, pairs, results):
+            point, dist = hyperplane_projection(W, b, x)
+            assert res.converged and res.class_pair == pair
+            assert res.distance == pytest.approx(dist, rel=1e-8)
+            np.testing.assert_allclose(res.point, point, atol=1e-6 * max(1, dist))
+        # the solver's own iterates, before any polish, are each row's
+        # own projection: the polish cannot hide a row solved for another
+        I, J = np.array(pairs).T
+        P, _ = flips._al_iterate(net, X, X + 0.1, I, J)
+        for x, p in zip(X, P):
+            np.testing.assert_allclose(p, hyperplane_projection(W, b, x)[0], atol=1e-6)
+
+    def test_toy_erf_net_grid_oracle(self):
+        rng = np.random.default_rng(5)
+        net = make_random_net(rng, [2, 6, 2], scale=1.2)
+        X = rng.uniform(-1, 1, (4, 2))
+        results = flips.closest_flips(net, X, [(0, 1)] * 4, SolveOptions(restarts=2))
+        for x, res in zip(X, results):
+            oracle = grid_oracle_distance(net, x, (0, 1))
+            assert np.isfinite(oracle)
+            assert res.converged
+            assert abs(res.distance - oracle) <= 2e-3
+
+    def test_compare_row_agrees_with_one_query_call(self, rng):
+        net = make_random_net(rng, [4, 10, 3], scale=1.0)
+        X = rng.standard_normal((12, 4))
+        pairs = [(q % 3, (q + 1) % 3) for q in range(12)]
+        opts = SolveOptions(restarts=2, seed=3)
+        stats = flips.SolverStats()
+        batch = flips.comparisons(net, X, pairs, opts, stats)
+        assert stats.evaluations > 0 and stats.rows >= stats.evaluations
+        for x, pair, m in zip(X, pairs, batch):
+            one = compare(net, x, pair, opts)
+            assert one.flip.status == m.flip.status
+            assert one.flip.class_pair == m.flip.class_pair == pair
+            assert one.flip.distance == pytest.approx(m.flip.distance, rel=1e-9, abs=0)
+            assert (np.isnan(one.beta) and np.isnan(m.beta)
+                    or one.beta == pytest.approx(m.beta, rel=1e-9, abs=0))
+
+    def test_rows_split_into_chunks(self, rng, monkeypatch):
+        # rows past CHUNK_ROWS go to further iterate arrays; each row's
+        # answer is the same to rounding
+        net = make_random_net(rng, [3, 8, 2], scale=1.0)
+        X = rng.standard_normal((5, 3))
+        opts = SolveOptions(restarts=2)
+        whole = flips.closest_flips(net, X, [(0, 1)] * 5, opts)
+        monkeypatch.setattr(flips, "CHUNK_ROWS", 4)
+        stats = flips.SolverStats()
+        chunked = flips.closest_flips(net, X, [(0, 1)] * 5, opts, stats)
+        assert stats.rows >= 15
+        for a, b in zip(whole, chunked):
+            assert a.status == b.status
+            assert a.distance == pytest.approx(b.distance, rel=1e-9, abs=0)
+
+    def test_line_search_without_a_step_takes_its_trial_step(self):
+        # a trial step equal to the interval's best step leaves dcstep no
+        # cubic (a division by zero): the row takes its trial step
+        state = np.zeros((2, 15))
+        state[:, flips._STP] = state[:, flips._STX] = 1.0
+        state[:, flips._G0] = state[:, flips._GX] = state[:, flips._GY] = -1.0
+        state[:, flips._STMAX] = 5.0
+        state[1, flips._STX] = 0.0  # the other row has a step to take
+        rows = flips._Rows(line=np.ones(2, dtype=bool), ls=state.copy())
+        done = flips._line_search_step(rows, np.array([1.0, 1.0]), np.array([1.0, 1.0]))
+        assert done.tolist() == [True, False]
+        np.testing.assert_array_equal(rows.ls[0], state[0])
+        assert 0.0 < rows.ls[1, flips._STP] < 1.0 and rows.ls[1, flips._BRACKT] == 1.0
+        rows = flips._Rows(line=np.ones(1, dtype=bool), ls=state[:1].copy())
+        assert flips._line_search_step(rows, np.array([1.0]), np.array([1.0])).tolist() == [True]
+
+    def test_empty_batch(self, rng):
+        net = make_linear_net(rng, 3)
+        assert flips.closest_flips(net, np.zeros((0, 3)), []) == []
+        assert flips.comparisons(net, np.zeros((0, 3)), []) == []
 
 
 class TestFlipAlongDirection:
@@ -501,8 +594,11 @@ class TestCompare:
 
         def run(solver, reseeded, directional):
             solves = iter([solver, reseeded])
+            # one candidate per solver row: the first solve has the
+            # query's one start, a re-seeded solve one row, else none
             monkeypatch.setattr(flips, "_augmented_lagrangian_solve",
-                                lambda *args: next(solves))
+                                lambda net, X, starts, pairs, stats=None:
+                                [next(solves) for _ in starts])
             monkeypatch.setattr(flips, "flip_along_direction", lambda *args: directional)
             chosen = compare(net, x, (0, 1), FAST).flip
             return chosen, next(solves, None) is None  # was the solver re-seeded?
@@ -528,9 +624,15 @@ class TestCompare:
         solves = [flips.FlipResult(x + d, d, (0, 1), r, 0.0, s) for s, d, r in
                   [(local, 1.0, 1e-1), (local, 0.5, 1e-3), (conv, 3.0, 0.0), (conv, 2.0, 0.0),
                    (conv, 2.0, 0.0)]]
-        starts = iter(solves)
-        monkeypatch.setattr(flips, "_augmented_lagrangian_solve", lambda *args: next(starts))
+        # the solver returns one candidate per row, the query's 5 starts in order
+        monkeypatch.setattr(flips, "_augmented_lagrangian_solve", lambda *args: solves)
         assert closest_flip(net, x, (0, 1), SolveOptions(restarts=4)) is solves[3]
+        # two queries: each keeps the first-ranked of its own rows
+        batch = solves + solves[::-1]
+        monkeypatch.setattr(flips, "_augmented_lagrangian_solve", lambda *args: batch)
+        chosen = flips.closest_flips(net, np.stack([x, x + 1.0]), [(0, 1)] * 2,
+                                     SolveOptions(restarts=4))
+        assert chosen[0] is solves[3] and chosen[1] is solves[4]
 
     def test_directional_never_beats_closest(self, rng):
         for _ in range(10):
