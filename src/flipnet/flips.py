@@ -6,24 +6,24 @@ them. The closest flip point is found by an augmented Lagrangian on the
 logit-equality constraint with a quadratic penalty on violated
 dominance inequalities, inner solves by L-BFGS, multi-start from
 perturbed seeds, and a final polish: the ray search towards the
-solver's point (a doubling bracket, then Brent's method), then a
-tangent step. Every (query, start) pair is a row of one iterate array,
-so each objective evaluation is one forward pass and one VJP over all
-rows still running. The first-order Taylor baseline and its comparison
-metrics live here too.
+solver's point (a doubling bracket, then Chandrupatla's method), then
+a tangent step. Every (query, start) pair is a row of one iterate
+array, so each objective evaluation is one forward pass and one VJP
+over all rows still running. The first-order Taylor baseline and its
+comparison metrics live here too.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 # minimize is unused here: perfbench/spans.py wraps this name until benchmark v2
-from scipy.optimize import brentq, minimize  # noqa: F401
+from scipy.optimize import minimize  # noqa: F401
 
-from .errors import DegenerateGradientError, InvalidParameterError
+from .errors import DegenerateGradientError, InvalidParameterError, ShapeError
 from .features import haar3d_inverse, scatter_selector
 from .network import forward_batch, softmax_rows, vjp
+from .paths import bracketed_roots
 
 STATUS_CONVERGED = "converged"
 STATUS_LOCAL = "local-stationary"
@@ -104,14 +104,6 @@ class SolveOptions:
             raise InvalidParameterError(f"restarts must be >= 0, got {self.restarts}")
 
 
-def _check_pair(net, pair):
-    """The class pair as two distinct class ids of net, else InvalidParameterError."""
-    i, j = pair
-    if i == j or not (0 <= i < net.class_count and 0 <= j < net.class_count):
-        raise InvalidParameterError(f"invalid class pair {pair}")
-    return i, j
-
-
 def _residuals(z, i, j):
     """Softmax-space equality residual and dominance margin, from logits z."""
     s = softmax_rows(z)
@@ -121,14 +113,19 @@ def _residuals(z, i, j):
     return eq, margin
 
 
-def _logits(net, p):
-    return forward_batch(net, p[None, :])[0][0]
-
-
-def _pair_rows(net, pairs):
-    """Class ids (I, J) of a sequence of pairs, each checked by _check_pair."""
-    checked = [_check_pair(net, pair) for pair in pairs]
-    return np.array(checked, dtype=np.int64).reshape(len(checked), 2).T
+def _queries(net, X, pairs):
+    """(X, I, J, pairs): X as a float [n, d] array with one class pair per
+    row, else ShapeError; the pairs as class ids I, J and (i, j) tuples,
+    each two distinct classes of net, else InvalidParameterError."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or len(pairs) != len(X):
+        raise ShapeError(f"expected X [n, d] with n class pairs, got {X.shape} and "
+                         f"{len(pairs)} pairs")
+    for i, j in pairs:
+        if i == j or not (0 <= i < net.class_count and 0 <= j < net.class_count):
+            raise InvalidParameterError(f"invalid class pair {(i, j)}")
+    I, J = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2).T
+    return X, I, J, list(zip(I.tolist(), J.tolist()))
 
 
 def _gaps_and_grads(net, P, I, J):
@@ -542,8 +539,8 @@ def _al_iterate(net, X, starts, I, J, stats=None):
     return P, Z
 
 
-def _polish(net, X, P, Z, pairs):
-    """FlipResults of the solver rows' last iterates P (logits Z).
+def _polish(net, X, P, Z, I, J, pairs):
+    """FlipResults of the solver rows' last iterates P (logits Z) for pairs (I, J).
 
     The first crossing on the ray x -> p is on the boundary and no
     farther from x than p itself; the iterate can sit marginally on the
@@ -552,19 +549,16 @@ def _polish(net, X, P, Z, pairs):
     solver; its point is kept only when it is no farther, stays feasible
     and stays on the boundary to rounding.
     """
-    results = []
-    for x, p, z, pair in zip(X, P, Z, pairs):
-        result = _make_result(x, p, pair, z)
-        if result.distance > 0.0:
-            crossing = flip_along_direction(net, x, p - x, pair, t_max=1.1 * result.distance)
-            if (crossing.status != STATUS_BRACKET_FAILED
-                    and crossing.dominance_margin >= -1e-8
-                    and crossing.equality_residual <= max(result.equality_residual, 1e-6)):
-                result = crossing
-        results.append(result)
-    if not results:
-        return results
-    I, J = np.array(pairs).T
+    results = [_make_result(*args) for args in zip(X, P, pairs, Z)]
+    distance = np.array([result.distance for result in results])
+    rays = np.flatnonzero(distance > 0.0)
+    crossings = flip_along_directions(net, X[rays], P[rays] - X[rays], [pairs[k] for k in rays],
+                                      t_max=1.1 * distance[rays])
+    for k, crossing in zip(rays, crossings):
+        if (crossing.status != STATUS_BRACKET_FAILED
+                and crossing.dominance_margin >= -1e-8
+                and crossing.equality_residual <= max(results[k].equality_residual, 1e-6)):
+            results[k] = crossing
     polished = _tangent_polish(net, X, np.array([r.point for r in results]), I, J)
     Z_t = forward_batch(net, polished)[0]
     for k, (x, q, z_t, pair) in enumerate(zip(X, polished, Z_t, pairs)):
@@ -577,16 +571,14 @@ def _polish(net, X, P, Z, pairs):
 
 def _augmented_lagrangian_solve(net, X, starts, pairs, stats=None):
     """Polished flip candidates of the solver rows (x, start, pair), CHUNK_ROWS
-    rows per iterate array."""
-    X = np.asarray(X, dtype=np.float64)
+    rows per iterate array; X is an array and pairs a list of (i, j) tuples."""
     starts = np.asarray(starts, dtype=np.float64)
-    pairs = [tuple(pair) for pair in pairs]
     results = []
     for lo in range(0, len(starts), CHUNK_ROWS):
         chunk = slice(lo, lo + CHUNK_ROWS)
         I, J = np.array(pairs[chunk], dtype=np.int64).reshape(-1, 2).T
         P, Z = _al_iterate(net, X[chunk], starts[chunk], I, J, stats)
-        results += _polish(net, X[chunk], P, Z, pairs[chunk])
+        results += _polish(net, X[chunk], P, Z, I, J, pairs[chunk])
     return results
 
 
@@ -598,9 +590,7 @@ def closest_flips(net, X, pairs, opts=None, stats=None):
     solver's work.
     """
     opts = opts or SolveOptions()
-    X = np.asarray(X, dtype=np.float64)
-    I, J = _pair_rows(net, pairs)
-    pairs = list(zip(I.tolist(), J.tolist()))
+    X, I, J, pairs = _queries(net, X, pairs)
     Z = forward_batch(net, X)[0]
 
     # every query draws the same perturbations, from a generator seeded alike
@@ -634,62 +624,63 @@ def closest_flip(net, x, pair, opts=None):
     that ranks lowest by `rank`: the nearest converged one, else the
     non-converged iterate with the smallest equality residual.
     """
-    return closest_flips(net, np.asarray(x, dtype=np.float64)[None, :], [pair], opts)[0]
+    return closest_flips(net, [x], [pair], opts)[0]
+
+
+def flip_along_directions(net, X, D, pairs, t_max=None):
+    """First boundary crossing on each ray: from a row of X along the
+    matching nonzero row of D, for its pair. Doubling starts at
+    min(1e-4, t_max) and never passes t_max (positive and finite; one, or
+    one per row; default 1e6 * max(1, ||x||)), with one forward pass a
+    round; one paths.bracketed_roots call then shrinks every bracket to
+    1e-12 * max(1, t). A row with no sign change by t_max gets the point
+    there, with status bracket-failed."""
+    X, I, J, pairs = _queries(net, X, pairs)
+    D = np.asarray(D, dtype=np.float64)
+    if D.shape != X.shape:
+        raise ShapeError(f"expected one direction per query, got {D.shape} for {X.shape}")
+    norm = np.linalg.norm(D, axis=1)
+    if not norm.all():
+        raise InvalidParameterError("direction must be nonzero")
+    D = D / norm[:, None]
+    t_max = np.broadcast_to(1e6 * np.maximum(1.0, np.linalg.norm(X, axis=1)) if t_max is None
+                            else np.asarray(t_max, dtype=np.float64), len(X))
+    if not np.all((0 < t_max) & (t_max < math.inf)):
+        raise InvalidParameterError(f"t_max must be positive and finite, got {t_max}")
+
+    def logits_and_gaps(T, rows):
+        z, r = forward_batch(net, X[rows] + T[:, None] * D[rows])[0], np.arange(len(rows))
+        return z, z[r, I[rows]] - z[r, J[rows]]
+
+    # Doubling: T is each row's farthest probe on the query's side (logits
+    # Z, gap G there), t_hi its next one; neither passes t_max.
+    T = np.zeros(len(X))
+    Z, G = logits_and_gaps(T, np.arange(len(X)))
+    g0, g_hi, t_hi = G.copy(), np.zeros(len(X)), np.minimum(1e-4, t_max)
+    live = np.flatnonzero(g0)  # a query on the boundary is its own crossing
+    while live.size:
+        z, g = logits_and_gaps(t_hi[live], live)
+        same = np.sign(g) == np.sign(g0[live])
+        g_hi[live[~same]] = g[~same]
+        live = live[same]
+        T[live], Z[live], G[live] = t_hi[live], z[same], g[same]
+        live = live[t_hi[live] < t_max[live]]
+        t_hi[live] = np.minimum(2.0 * t_hi[live], t_max[live])
+
+    # a row that failed to bracket has its last probe at t_max
+    failed, b = T == t_max, np.flatnonzero((T < t_max) & (g0 != 0.0))
+    T[b] = bracketed_roots(lambda t, rows: logits_and_gaps(t, b[rows])[1],
+                           T[b], t_hi[b], G[b], g_hi[b])
+    Z[b] = logits_and_gaps(T[b], b)[0]
+    results = [_make_result(x, x + t * d, pair, z) for x, d, t, z, pair in zip(X, D, T, Z, pairs)]
+    for k in np.flatnonzero(failed):
+        results[k].distance, results[k].status = float(T[k]), STATUS_BRACKET_FAILED
+    return results
 
 
 def flip_along_direction(net, x, direction, pair, t_max=None):
-    """First boundary crossing along a ray, by doubling bracket + Brent's method.
-
-    The solver's polish calls it too. Doubling starts at min(1e-4, t_max)
-    and never probes past t_max; Brent's method (scipy's brentq) shrinks
-    the bracket to 1e-12 * max(1, t). With no sign change up to t_max
-    (default 1e6 * max(1, ||x||); a given t_max must be positive and
-    finite) the result is the point at t_max, with status bracket-failed.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    direction = np.asarray(direction, dtype=np.float64)
-    norm = np.linalg.norm(direction)
-    if norm == 0.0:
-        raise InvalidParameterError("direction must be nonzero")
-    d = direction / norm
-    i, j = _check_pair(net, pair)
-    if t_max is None:
-        t_max = 1e6 * max(1.0, float(np.linalg.norm(x)))
-    elif not 0 < t_max < math.inf:
-        raise InvalidParameterError(f"t_max must be positive and finite, got {t_max}")
-
-    # brentq re-evaluates the bracket's ends, and its root is one of its
-    # probes: each t costs one forward pass
-    @functools.cache
-    def logits(t):
-        return _logits(net, x + t * d)
-
-    def gap(t):
-        z = logits(t)
-        return z[i] - z[j]
-
-    g0 = gap(0.0)
-    if g0 == 0.0:
-        return _make_result(x, x.copy(), pair, logits(0.0))
-
-    # Doubling: t_lo is the farthest probe on the query's side, t_hi the
-    # next one; neither passes t_max.
-    t_lo, t_hi = 0.0, min(1e-4, t_max)
-    while np.sign(gap(t_hi)) == np.sign(g0):
-        t_lo = t_hi
-        if t_hi >= t_max:
-            p = x + t_lo * d
-            eq, margin = _residuals(logits(t_lo), i, j)
-            return FlipResult(
-                p, float(t_lo), (i, j), float(eq), float(margin), STATUS_BRACKET_FAILED
-            )
-        t_hi = min(2.0 * t_hi, t_max)
-
-    # One width serves every caller: the solver's polish needs the
-    # crossing to about 1e-12 relative to anchor its tangent step.
-    t_star = brentq(gap, t_lo, t_hi, xtol=1e-12 * max(1.0, t_hi),
-                    rtol=4 * np.finfo(float).eps)
-    return _make_result(x, x + t_star * d, pair, logits(t_star))
+    """flip_along_directions for one ray, from x along direction."""
+    return flip_along_directions(net, [x], [direction], [pair], t_max)[0]
 
 
 def _taylor_estimates(net, X, I, J):
@@ -710,8 +701,7 @@ def _taylor_estimates(net, X, I, J):
 def taylor_estimate(net, x, pair):
     """First-order distance |g| / ||grad g|| and steepest direction to the
     linearized boundary, for g = z_i - z_j."""
-    x = np.asarray(x, dtype=np.float64)
-    tay = _taylor_estimates(net, x[None, :], *_pair_rows(net, [pair]))[0]
+    tay = _taylor_estimates(net, *_queries(net, [x], [pair])[:3])[0]
     if tay is None:
         raise DegenerateGradientError("logit-difference gradient is (near) zero")
     return tay
@@ -768,13 +758,14 @@ def comparisons(net, X, pairs, opts=None, stats=None):
     re-seeded from it in one more batched solve. stats, a SolverStats,
     accumulates the work of both solves.
     """
-    X = np.asarray(X, dtype=np.float64)
-    I, J = _pair_rows(net, pairs)
-    pairs = list(zip(I.tolist(), J.tolist()))
+    X, I, J, pairs = _queries(net, X, pairs)
     tays = _taylor_estimates(net, X, I, J)
     solved = closest_flips(net, X, pairs, opts, stats)
-    directionals = [None if tay is None else flip_along_direction(net, x, tay.direction, pair)
-                    for x, tay, pair in zip(X, tays, pairs)]
+    rays = [q for q, tay in enumerate(tays) if tay is not None]
+    found = iter(flip_along_directions(
+        net, X[rays], np.reshape([tays[q].direction for q in rays], (len(rays), X.shape[1])),
+        [pairs[q] for q in rays]))
+    directionals = [None if tay is None else next(found) for tay in tays]
     reseed = [q for q, (flip, directional) in enumerate(zip(solved, directionals))
               if directional is not None and rank(directional) < rank(flip)]
     reseeded = _augmented_lagrangian_solve(
@@ -794,7 +785,7 @@ def compare(net, x, pair, opts=None):
     undefined, the solver runs once and beta, directional_ratio and
     angle_deg are NaN.
     """
-    return comparisons(net, np.asarray(x, dtype=np.float64)[None, :], [pair], opts)[0]
+    return comparisons(net, [x], [pair], opts)[0]
 
 
 def check_legitimate_image(points, sel, base_coeffs):

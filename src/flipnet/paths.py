@@ -8,7 +8,7 @@ samples so that consecutive logits provably differ by at most score_tol.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize.elementwise import find_root
 
 from .errors import FlipnetError, InvalidInputError, InvalidParameterError
 from .network import (activation_erf, activation_erf_deriv, forward_batch, softmax_rows,
@@ -120,16 +120,19 @@ def _cell_slopes(net, seg, edges):
     return np.minimum(spectral_norm(last) * norm, np.linalg.norm(np.maximum(-d_lo, d_hi), axis=1))
 
 
-def _refine(net, seg, a, b, c, k, g_a, g_b):
-    """Root of z_c - z_k in [a, b] by Brent's method, to 1e-12 relative; the cell's
-    end values g_a >= 0 > g_b are seeded into the search, so the bracket holds."""
-    def gap(alpha):
-        if alpha in (a, b):
-            return g_a if alpha == a else g_b
-        z = forward_batch(net, seg.at(alpha)[None, :])[0][0]
-        return z[c] - z[k]
-
-    return brentq(gap, a, b, xtol=1e-12 * max(1.0, abs(b)), rtol=4 * np.finfo(float).eps)
+def bracketed_roots(gap, lo, hi, g_lo, g_hi):
+    """Roots of gap(t, rows) (rows `rows` at abscissae t) in the brackets
+    [lo, hi], one per row, where gap is g_lo and g_hi of opposite signs,
+    by one find_root call (Chandrupatla's method). Solving in s = t /
+    max(1, |hi|) lets scalar tolerances give each bracket a width of
+    1e-12 * max(1, |hi|). The ends are never re-evaluated: in a batch of
+    another shape a tiny end value can round to the other sign."""
+    scale = np.maximum(1.0, np.abs(hi))
+    ends = [g_lo, g_hi]  # find_root's first two calls evaluate the ends
+    res = find_root(lambda s, rows: ends.pop(0) if ends else gap(s * scale[rows], rows),
+                    (lo / scale, hi / scale), args=(np.arange(len(lo)),),
+                    tolerances=dict(xatol=1e-12, xrtol=4 * np.finfo(float).eps))
+    return res.x * scale
 
 
 def count_crossings(net, seg):
@@ -141,9 +144,10 @@ def count_crossings(net, seg):
     end, or if its mean-value lower bound beats a rounding margin. Such
     a cell holds a crossing only at its right end, where the argmax may
     not be c; a cell with one other gap, falling monotonically below 0,
-    holds one (_refine); the rest are halved. A class repeating an
-    earlier one's output row never leads. Raises FlipnetError past
-    CHUNK_ROWS cells in a round or MAX_ROUNDS rounds.
+    holds one, refined with the others in one bracketed_roots call; the
+    rest are halved. A class repeating an earlier one's output row never
+    leads. Raises FlipnetError past CHUNK_ROWS cells in a round or
+    MAX_ROUNDS rounds.
     """
     weights = net.layers[-1].weights
     rows = np.column_stack([weights, net.layers[-1].bias]).tolist()
@@ -151,7 +155,7 @@ def count_crossings(net, seg):
     edges = np.linspace(seg.alpha_min, seg.alpha_max, ROOT_CELLS + 1)
     z = _logits_at(net, seg, edges)
     lo, hi, z_lo, z_hi = edges[:-1], edges[1:], z[:-1], z[1:]
-    crossings = []
+    crossings, cells = [], []  # cells: (lo, hi, top, other, g_lo, g_hi) per round
     for _ in range(MAX_ROUNDS):
         tops, cell = np.argmax(z_lo, axis=1), np.arange(len(lo))
         g_lo, g_hi = (end[cell, tops][:, None] - end for end in (z_lo, z_hi))
@@ -173,9 +177,9 @@ def count_crossings(net, seg):
                   | (floor > 1e-12 * (z_max + np.maximum(fall, rise) * w)))
         open_[:, repeats] = False
         one = (open_.sum(axis=1) == 1) & np.any(open_ & (g_hi < 0) & (s_hi <= 0), axis=1)
-        for i in np.nonzero(one)[0]:
-            k = np.argmax(open_[i])
-            crossings.append(_refine(net, seg, lo[i], hi[i], tops[i], k, g_lo[i, k], g_hi[i, k]))
+        i = np.nonzero(one)[0]
+        k = np.argmax(open_[i], axis=1)
+        cells.append((lo[i], hi[i], tops[i], k, g_lo[i, k], g_hi[i, k]))
         done = ~open_.any(axis=1)
         crossings += hi[done & (np.argmax(z_hi, axis=1) != tops)].tolist()
         split = ~done & ~one
@@ -188,7 +192,12 @@ def count_crossings(net, seg):
         z_lo, z_hi = np.concatenate([z_lo, z_mid]), np.concatenate([z_mid, z_hi])
     if len(lo):
         raise FlipnetError(f"crossings undecided on alpha cells from {np.sort(lo)[:5].tolist()}")
-    return sorted(crossings)
+    a, b, c, k, g_a, g_b = map(np.concatenate, zip(*cells))
+
+    def gap(alpha, rows):
+        z, r = _logits_at(net, seg, alpha), np.arange(len(rows))
+        return z[r, c[rows]] - z[r, k[rows]]
+    return sorted(crossings + bracketed_roots(gap, a, b, g_a, g_b).tolist())
 
 
 def sample_line(net, seg, score_tol=SCORE_TOL, include=()):

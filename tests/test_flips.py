@@ -15,7 +15,7 @@ from flipnet import (
     taylor_estimate,
 )
 from flipnet import flips
-from flipnet.errors import DegenerateGradientError, InvalidParameterError
+from flipnet.errors import DegenerateGradientError, InvalidParameterError, ShapeError
 from flipnet.features import COEFF_COUNT, CoefficientSelector
 from flipnet.flips import STATUS_BRACKET_FAILED, angle_degrees
 from flipnet.network import logits_batch
@@ -336,6 +336,28 @@ class TestBatchedSolve:
         net = make_linear_net(rng, 3)
         assert flips.closest_flips(net, np.zeros((0, 3)), []) == []
         assert flips.comparisons(net, np.zeros((0, 3)), []) == []
+        assert flips.flip_along_directions(net, np.zeros((0, 3)), np.zeros((0, 3)), []) == []
+
+    @pytest.mark.parametrize("entry", ["closest_flips", "comparisons", "flip_along_directions"])
+    def test_rejects_mismatched_shapes(self, rng, entry):
+        # each query needs its own pair (and direction): a short or long
+        # pair list would leave queries unsolved or solve phantom ones
+        net = make_linear_net(rng, 3)
+
+        def call(X, pairs, D=None):
+            if entry == "flip_along_directions":
+                D = np.ones(np.shape(X)) if D is None else D
+                return flips.flip_along_directions(net, X, D, pairs)
+            return getattr(flips, entry)(net, X, pairs, FAST)
+
+        X = rng.standard_normal((3, 3))
+        for bad_X, pairs in [(X, [(0, 1)]), (X, [(0, 1)] * 5), (X[0], [(0, 1)] * 3),
+                             (X[None], [(0, 1)] * 3)]:
+            with pytest.raises(ShapeError):
+                call(bad_X, pairs)
+        if entry == "flip_along_directions":
+            with pytest.raises(ShapeError):
+                call(X, [(0, 1)] * 3, np.ones((2, 3)))
 
 
 class TestFlipAlongDirection:
@@ -442,6 +464,59 @@ class TestFlipAlongDirection:
             res = flip_along_direction(net, x, -w, (0, 1))
             assert res.converged
             assert counter.forward <= probes + 5
+
+    def test_batch_matches_one_ray(self, rng, monkeypatch):
+        # every row of a stack of rays with mixed t_max is solved as its
+        # one-ray call solves it, and no row is probed past its own t_max
+        linear = make_linear_net(rng, 5)
+        linear.layers[0].bias[1] = linear.layers[0].bias[0]  # the origin is on the boundary
+        w = linear.layers[0].weights[0] - linear.layers[0].weights[1]
+        e0 = np.sign(w[0]) * np.eye(5)[0]
+        # row 0 starts on the boundary; row 1's doubling probe at 8e-4 lands on it
+        X, D, t_max = [np.zeros(5), -8e-4 * e0], [rng.standard_normal(5), e0], [1.0, 1.0]
+        for _ in range(4):
+            x = rng.standard_normal(5)
+            side = np.sign(w @ x)
+            # towards the boundary, with t_max past it or short of it, and away from it
+            X += [x, x, x]
+            D += [-side * w + 0.3 * rng.standard_normal(5), -side * w, side * w]
+            t_max += [50.0, 1e-3 * rng.random(), 10.0]
+        # one erf unit: z_0 - z_1 = c * erf((w.p + b) / sigma) + c0
+        w1, b1, sigma, c, c0 = rng.standard_normal(4), 0.3, 0.8, 1.5, 0.6
+        erf_net = Network([Layer(w1[None, :], np.array([b1]), sigma),
+                           Layer(np.array([[c / 2], [-c / 2]]), np.array([c0 / 2, -c0 / 2]), 1.0)])
+        forward_batch, batches = flips.forward_batch, []
+        for net, X, D, t_max in [
+                (linear, np.array(X), np.array(D), np.array(t_max)),
+                (erf_net, rng.standard_normal((8, 4)), rng.standard_normal((8, 4)),
+                 np.array([1e-5, 2.0, 30.0, 1e3] * 2))]:
+            probed = []
+
+            def recording(net_, P):
+                probed.append(np.array(P))
+                return forward_batch(net_, P)
+
+            monkeypatch.setattr(flips, "forward_batch", recording)
+            batch = flips.flip_along_directions(net, X, D, [(0, 1)] * len(X), t_max)
+            monkeypatch.setattr(flips, "forward_batch", forward_batch)
+            batches.append(batch)
+            # each probe lies on a ray, no farther along it than its t_max
+            U = D / np.linalg.norm(D, axis=1)[:, None]
+            for p in np.concatenate(probed):
+                t = np.einsum("rd,rd->r", p - X, U)
+                on_ray = np.linalg.norm(p - X - t[:, None] * U, axis=1) <= 1e-12
+                assert np.any(on_ray & (t >= -1e-12) & (t <= t_max * (1 + 1e-12)))
+            for x, d, limit, res in zip(X, D, t_max, batch):
+                one = flip_along_direction(net, x, d, (0, 1), t_max=limit)
+                assert res.status == one.status
+                assert abs(res.distance - one.distance) <= 1e-12 * max(1.0, one.distance)
+                if res.status == STATUS_BRACKET_FAILED:
+                    assert res.distance == one.distance == limit
+            statuses = {res.status for res in batch}
+            assert statuses == {STATUS_BRACKET_FAILED, flips.STATUS_CONVERGED}
+        on_boundary, probe_on_boundary = batches[0][:2]
+        assert on_boundary.converged and on_boundary.distance == 0.0
+        assert probe_on_boundary.converged and probe_on_boundary.distance == 8e-4
 
     def test_bisection_residual(self, rng):
         net = make_random_net(rng, [2, 6, 2], scale=1.0)
@@ -599,7 +674,7 @@ class TestCompare:
             monkeypatch.setattr(flips, "_augmented_lagrangian_solve",
                                 lambda net, X, starts, pairs, stats=None:
                                 [next(solves) for _ in starts])
-            monkeypatch.setattr(flips, "flip_along_direction", lambda *args: directional)
+            monkeypatch.setattr(flips, "flip_along_directions", lambda *args: [directional])
             chosen = compare(net, x, (0, 1), FAST).flip
             return chosen, next(solves, None) is None  # was the solver re-seeded?
 

@@ -314,6 +314,28 @@ class TestCountCrossings:
                 hits += 1
         assert hits > 0
 
+    def test_refinement_is_one_find_root_call(self, monkeypatch):
+        # three slabs |x_0 - m| < 0.4, for m in (-3, 0, 3), each crossed twice
+        # by the segment; all six isolated crossings are refined together
+        net = Network([
+            Layer(np.array([[1.0, 0.0]] * 6), np.array([3.4, 2.6, 0.4, -0.4, -2.6, -3.4]), 0.05),
+            Layer(np.array([[0.5, -0.5] * 3, [-0.5, 0.5] * 3]), np.array([-0.5, 0.5]), 1.0),
+        ])
+        calls, find_root = [], paths.find_root
+
+        def counted(f, init, **kwargs):
+            calls.append(len(init[0]))
+            return find_root(f, init, **kwargs)
+
+        monkeypatch.setattr(paths, "find_root", counted)
+        seg = LineSegment([-5.0, 0.3], [5.0, -0.2])
+        found = count_crossings(net, seg)
+        assert len(found) == dense_crossing_count(net, seg.x1, seg.x2, step=1e-3) == 6
+        assert calls == [6]
+        for alpha in found:
+            z = logits_batch(net, seg.at(alpha)[None, :])[0]
+            assert abs(z[0] - z[1]) <= 1e-8 * max(1.0, np.max(np.abs(z)))
+
 
 class TestProfileToFlip:
     def test_flip_point_row(self, rng):
