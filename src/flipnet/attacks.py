@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, ShapeError
 from .flips import angle_degrees
-from .network import cross_entropy, forward_batch, softmax_rows, vjp
+from .network import cross_entropy, forward_batch, row_norms, softmax_rows, vjp
 from .paths import LineSegment, count_crossings
 
 CHUNK_ROWS = 2048  # PGD rows per forward_batch call; caps the memory of a step
@@ -56,12 +56,6 @@ class AdversarialComparison:
     angle_deg: float
 
 
-def _row_norms(D):
-    """np.linalg.norm of each row of D, bit for bit: a stack of [1, d] @ [d, 1]
-    products reduces each row with the same dot kernel as a 1-D norm."""
-    return np.sqrt(np.matmul(D[:, None, :], D[:, :, None])[:, 0, 0])
-
-
 def _project_ball(x, P, epsilon):
     """Nearest point to each row of P in the closed L2 ball of radius
     epsilon around the matching row of x.
@@ -75,7 +69,7 @@ def _project_ball(x, P, epsilon):
     X = np.broadcast_to(x, P.shape)
     eps = np.broadcast_to(np.asarray(epsilon, dtype=np.float64), P.shape[:1])
     delta = P - X
-    dn = _row_norms(delta)
+    dn = row_norms(delta)
     rows = np.flatnonzero(dn > eps)
     if not rows.size:
         return P
@@ -84,7 +78,7 @@ def _project_ball(x, P, epsilon):
     shrink = np.finfo(np.float64).eps
     while rows.size:
         Q[rows] = X[rows] + delta[rows] * scale[:, None]
-        outside = _row_norms(Q[rows] - X[rows]) > eps[rows]
+        outside = row_norms(Q[rows] - X[rows]) > eps[rows]
         rows, scale = rows[outside], scale[outside] * (1.0 - shrink)
         shrink = min(2.0 * shrink, 1.0)
     return Q
@@ -153,6 +147,8 @@ def constrained_loss_attacks(net, X, targets, cfgs, record_iterates=False):
     if X.ndim != 2 or targets.shape != (len(X),) or len(cfgs) != len(X):
         raise ShapeError(f"expected X [n, d] with n targets and configs, got {X.shape}, "
                          f"{targets.shape} and {len(cfgs)}")
+    if targets.size and targets.dtype.kind not in "iu":
+        raise InvalidParameterError(f"targets must be integer class ids, got {targets}")
     for target in targets:
         if not 0 <= target < net.class_count:
             raise InvalidParameterError(

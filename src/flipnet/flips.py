@@ -15,6 +15,7 @@ comparison metrics live here too.
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 # minimize is unused here: perfbench/spans.py wraps this name until benchmark v2
@@ -22,12 +23,14 @@ from scipy.optimize import minimize  # noqa: F401
 
 from .errors import DegenerateGradientError, InvalidParameterError, ShapeError
 from .features import haar3d_inverse, scatter_selector
-from .network import forward_batch, softmax_rows, vjp
+from .network import forward_batch, row_norms, softmax_rows, vjp
 from .paths import bracketed_roots
 
 STATUS_CONVERGED = "converged"
 STATUS_LOCAL = "local-stationary"
 STATUS_BRACKET_FAILED = "bracket-failed"
+EQUALITY_TOL = 1e-6  # largest equality residual of a converged point
+DOMINANCE_TOL = 1e-8  # largest excess of another softmax score over the pair's at a feasible point
 
 
 @dataclass
@@ -47,9 +50,7 @@ class FlipResult:
 def rank(result):
     """Sort key of flip candidates: converged before not converged, then
     the nearer point; unconverged results rank by equality residual."""
-    if result.converged:
-        return (0, result.distance)
-    return (1, result.equality_residual)
+    return (0, result.distance) if result.converged else (1, result.equality_residual)
 
 
 @dataclass
@@ -104,28 +105,32 @@ class SolveOptions:
             raise InvalidParameterError(f"restarts must be >= 0, got {self.restarts}")
 
 
-def _residuals(z, i, j):
-    """Softmax-space equality residual and dominance margin, from logits z."""
-    s = softmax_rows(z)
-    eq = abs(s[i] - s[j])
-    others = np.delete(s, [i, j])
-    margin = s[i] - others.max() if others.size else math.inf
-    return eq, margin
+def _residuals(Z, I, J):
+    """Softmax-space equality residuals |s_i - s_j| and dominance margins
+    s_i - max of the other scores (inf for two classes) of the logit rows
+    Z, for pairs (I, J): one softmax over all rows."""
+    S = softmax_rows(Z)
+    r = np.arange(len(S))
+    others = S.copy()
+    others[r, I] = others[r, J] = -math.inf
+    return np.abs(S[r, I] - S[r, J]), S[r, I] - others.max(axis=1)
 
 
 def _queries(net, X, pairs):
-    """(X, I, J, pairs): X as a float [n, d] array with one class pair per
-    row, else ShapeError; the pairs as class ids I, J and (i, j) tuples,
-    each two distinct classes of net, else InvalidParameterError."""
+    """(X, I, J): X as a float [n, d] array with one class pair per row,
+    else ShapeError; the pairs as class ids I, J, each pair two distinct
+    integer classes of net, else InvalidParameterError."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or len(pairs) != len(X):
         raise ShapeError(f"expected X [n, d] with n class pairs, got {X.shape} and "
                          f"{len(pairs)} pairs")
-    for i, j in pairs:
-        if i == j or not (0 <= i < net.class_count and 0 <= j < net.class_count):
-            raise InvalidParameterError(f"invalid class pair {(i, j)}")
-    I, J = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2).T
-    return X, I, J, list(zip(I.tolist(), J.tolist()))
+    ids = np.array(pairs).reshape(len(pairs), 2)
+    bad = ((ids.dtype.kind not in "iu") | (ids[:, 0] == ids[:, 1])
+           | np.any((ids < 0) | (ids >= net.class_count), axis=1))
+    if bad.any():
+        raise InvalidParameterError(f"invalid class pair {tuple(ids[bad][0].tolist())}: "
+                                    f"need two distinct integer classes of {net.class_count}")
+    return X, *ids.astype(np.int64).T
 
 
 def _gaps_and_grads(net, P, I, J):
@@ -134,24 +139,19 @@ def _gaps_and_grads(net, P, I, J):
     z, preacts = forward_batch(net, P)
     r = np.arange(len(P))
     coeffs = np.zeros((len(P), net.class_count))
-    coeffs[r, I] = 1.0
-    coeffs[r, J] = -1.0
+    coeffs[r, I], coeffs[r, J] = 1.0, -1.0
     return z[r, I] - z[r, J], vjp(net, preacts, coeffs)
 
 
-def _make_result(x, p, pair, z):
-    """FlipResult at p, from the logits z at p."""
-    i, j = pair
-    eq, margin = _residuals(z, i, j)
-    ok = eq <= 1e-6 and margin >= -1e-8
-    return FlipResult(
-        point=p,
-        distance=float(np.linalg.norm(p - x)),
-        class_pair=(i, j),
-        equality_residual=float(eq),
-        dominance_margin=float(margin),
-        status=STATUS_CONVERGED if ok else STATUS_LOCAL,
-    )
+def _make_results(X, P, I, J, Z):
+    """FlipResults at the rows of P (logits Z) for queries X and pairs (I, J):
+    converged where the equality residual is at most EQUALITY_TOL and the
+    dominance margin at least -DOMINANCE_TOL."""
+    eq, margin = _residuals(Z, I, J)
+    converged = (eq <= EQUALITY_TOL) & (margin >= -DOMINANCE_TOL)
+    return [FlipResult(p, d, (i, j), e, m, STATUS_CONVERGED if ok else STATUS_LOCAL)
+            for p, d, i, j, e, m, ok in zip(P, row_norms(P - X).tolist(), I.tolist(), J.tolist(),
+                                             eq.tolist(), margin.tolist(), converged)]
 
 
 def _tangent_polish(net, x, p, i, j, iters=30):
@@ -184,17 +184,22 @@ def _tangent_polish(net, x, p, i, j, iters=30):
     return Q.reshape(np.shape(p))
 
 
+def _gaps_and_violations(z, i, j):
+    """At logit rows z for pairs (i, j): the gaps h = z_i - z_j, and v =
+    z_l - z_i where positive for each class l outside the pair, else 0."""
+    r = np.arange(len(z))
+    v = np.maximum(z - z[r, i][:, None], 0.0)
+    v[r, j] = 0.0
+    return z[r, i] - z[r, j], v
+
+
 def _al_objective(net, rows):
     """Logits, augmented-Lagrangian objective and its gradient at the
     trial points of the solver rows: one forward pass, one VJP."""
     T, i, j, lam, mu = rows.t, rows.i, rows.j, rows.lam, rows.mu
     z, preacts = forward_batch(net, T)
     r = np.arange(len(T))
-    zi = z[r, i]
-    h = zi - z[r, j]
-    # z_l - z_i where positive, for each class l outside the pair
-    v = np.maximum(z - zi[:, None], 0.0)
-    v[r, j] = 0.0
+    h, v = _gaps_and_violations(z, i, j)
     dx = T - rows.x
     f = (dx * dx).sum(axis=1) + lam * h + 0.5 * mu * h * h
     f += 0.5 * mu * (v * v).sum(axis=1)
@@ -460,9 +465,8 @@ def _al_iterate(net, X, starts, I, J, stats=None):
         failed = rows.line & ~accept & (rows.nls >= LS_EVALS)
         rows.nls += 1
         first = ~rows.line
-        if first.any():
-            fresh = (first & (rows.outer == 0)).nonzero()[0]
-            rows.prev_h[fresh] = np.abs(z[fresh, rows.i[fresh]] - z[fresh, rows.j[fresh]])
+        fresh = (first & (rows.outer == 0)).nonzero()[0]
+        rows.prev_h[fresh] = np.abs(z[fresh, rows.i[fresh]] - z[fresh, rows.j[fresh]])
 
         # curvature pair of an accepted step, kept when s.y is positive
         stp, g0 = rows.ls[:, _STP], rows.ls[:, _G0]
@@ -516,10 +520,7 @@ def _al_iterate(net, X, starts, I, J, stats=None):
         # outer update of the rows whose inner solve ended
         e = ended.nonzero()[0]
         if e.size:
-            z, i, j, r = rows.z[e], rows.i[e], rows.j[e], np.arange(e.size)
-            h = z[r, i] - z[r, j]
-            v = np.maximum(z - z[r, i][:, None], 0.0)
-            v[r, j] = 0.0
+            h, v = _gaps_and_violations(rows.z[e], rows.i[e], rows.j[e])
             tied = (np.abs(h) <= OUTER_TOL) & (v.max(axis=1) <= OUTER_TOL)
             rows.lam[e] += np.where(tied, 0.0, rows.mu[e] * h)
             rows.mu[e] *= np.where(~tied & (np.abs(h) > 0.25 * rows.prev_h[e]), PENALTY_GROWTH, 1.0)
@@ -531,54 +532,53 @@ def _al_iterate(net, X, starts, I, J, stats=None):
             rows.it[again] = rows.count[again] = 0
             rows.t[again] = rows.p[again]
             if done.any():
-                P[rows.id[e[done]]] = rows.p[e[done]]
-                Z[rows.id[e[done]]] = rows.z[e[done]]
-                running = np.ones(rows.id.size, dtype=bool)
-                running[e[done]] = False
-                rows.keep(running)
+                P[rows.id[e[done]]], Z[rows.id[e[done]]] = rows.p[e[done]], rows.z[e[done]]
+                rows.keep(np.isin(np.arange(rows.id.size), e[done], invert=True))
     return P, Z
 
 
-def _polish(net, X, P, Z, I, J, pairs):
-    """FlipResults of the solver rows' last iterates P (logits Z) for pairs (I, J).
+def _polish(net, X, P, Z, I, J):
+    """FlipResults of the solver rows' last iterates P (logits Z, both
+    updated here) for pairs (I, J).
 
     The first crossing on the ray x -> p is on the boundary and no
     farther from x than p itself; the iterate can sit marginally on the
-    query side of the boundary, so the search runs a little past p. The
-    tangent polish then removes tangential drift left by the inner
-    solver; its point is kept only when it is no farther, stays feasible
-    and stays on the boundary to rounding.
+    query side of the boundary, so the search runs a little past p. It
+    is kept when it stays feasible and its equality residual is at most
+    p's or EQUALITY_TOL. The tangent polish then removes the inner
+    solver's tangential drift; its point is kept only when it is no
+    farther, stays feasible and stays on the boundary to rounding.
     """
-    results = [_make_result(*args) for args in zip(X, P, pairs, Z)]
-    distance = np.array([result.distance for result in results])
+    distance, eq = row_norms(P - X), _residuals(Z, I, J)[0]
     rays = np.flatnonzero(distance > 0.0)
-    crossings = flip_along_directions(net, X[rays], P[rays] - X[rays], [pairs[k] for k in rays],
-                                      t_max=1.1 * distance[rays])
-    for k, crossing in zip(rays, crossings):
-        if (crossing.status != STATUS_BRACKET_FAILED
-                and crossing.dominance_margin >= -1e-8
-                and crossing.equality_residual <= max(results[k].equality_residual, 1e-6)):
-            results[k] = crossing
-    polished = _tangent_polish(net, X, np.array([r.point for r in results]), I, J)
-    Z_t = forward_batch(net, polished)[0]
-    for k, (x, q, z_t, pair) in enumerate(zip(X, polished, Z_t, pairs)):
-        eq_t, margin_t = _residuals(z_t, *pair)
-        if (margin_t >= -1e-8 and eq_t <= max(results[k].equality_residual, 1e-12)
-                and np.linalg.norm(q - x) <= results[k].distance + 1e-12):
-            results[k] = _make_result(x, q, pair, z_t)
-    return results
+    x, d = X[rays], P[rays] - X[rays]
+    d /= np.linalg.norm(d, axis=1)[:, None]
+    t, z, failed = _first_crossings(net, x, d, I[rays], J[rays], 1.1 * distance[rays])
+    eq_c, margin_c = _residuals(z, I[rays], J[rays])
+    take = ~failed & (margin_c >= -DOMINANCE_TOL) & (eq_c <= np.maximum(eq[rays], EQUALITY_TOL))
+    k = rays[take]
+    P[k], Z[k], eq[k] = x[take] + t[take, None] * d[take], z[take], eq_c[take]
+    distance[k] = row_norms(P[k] - X[k])
+
+    Q = _tangent_polish(net, X, P, I, J)
+    Z_q = forward_batch(net, Q)[0]
+    eq_q, margin_q = _residuals(Z_q, I, J)
+    take = ((margin_q >= -DOMINANCE_TOL) & (eq_q <= np.maximum(eq, 1e-12))
+            & (row_norms(Q - X) <= distance + 1e-12))
+    P[take], Z[take] = Q[take], Z_q[take]
+    return _make_results(X, P, I, J, Z)
 
 
 def _augmented_lagrangian_solve(net, X, starts, pairs, stats=None):
-    """Polished flip candidates of the solver rows (x, start, pair), CHUNK_ROWS
-    rows per iterate array; X is an array and pairs a list of (i, j) tuples."""
-    starts = np.asarray(starts, dtype=np.float64)
+    """Polished flip candidates of the solver rows (x, start, pair),
+    CHUNK_ROWS rows per iterate array; X and starts are [n, d] arrays and
+    pairs n pairs of class ids."""
+    I, J = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
     results = []
     for lo in range(0, len(starts), CHUNK_ROWS):
-        chunk = slice(lo, lo + CHUNK_ROWS)
-        I, J = np.array(pairs[chunk], dtype=np.int64).reshape(-1, 2).T
-        P, Z = _al_iterate(net, X[chunk], starts[chunk], I, J, stats)
-        results += _polish(net, X[chunk], P, Z, I, J, pairs[chunk])
+        c = slice(lo, lo + CHUNK_ROWS)
+        P, Z = _al_iterate(net, X[c], starts[c], I[c], J[c], stats)
+        results += _polish(net, X[c], P, Z, I[c], J[c])
     return results
 
 
@@ -586,34 +586,27 @@ def closest_flips(net, X, pairs, opts=None, stats=None):
     """closest_flip for each row of X with its pair, in one batched solve.
 
     Every (query, start) pair is a row of the solver; a query already on
-    the boundary gets no rows. stats, a SolverStats, accumulates the
-    solver's work.
+    the boundary is its own flip point and gets no rows. stats, a
+    SolverStats, accumulates the solver's work.
     """
     opts = opts or SolveOptions()
-    X, I, J, pairs = _queries(net, X, pairs)
+    X, I, J = _queries(net, X, pairs)
     Z = forward_batch(net, X)[0]
+    eq, margin = _residuals(Z, I, J)
+    solve = ~((eq == 0.0) & (margin >= 0.0))
 
     # every query draws the same perturbations, from a generator seeded alike
-    rng = np.random.default_rng(opts.seed)
-    radii = [0.01, 0.1]
-    noise = [(radii[(r // 2) % len(radii)], rng.standard_normal(X.shape[1:]))
-             for r in range(opts.restarts)]
-    results = [None] * len(X)
-    queries, starts = [], []
-    for q, (x, z, pair) in enumerate(zip(X, Z, pairs)):
-        eq, margin = _residuals(z, *pair)
-        if eq == 0.0 and margin >= 0.0:  # on the boundary: its own flip point
-            results[q] = _make_result(x, x.copy(), pair, z)
-            continue
-        scale = max(np.linalg.norm(x), 1.0)
-        queries += [q] * (1 + opts.restarts)
-        starts += [x] + [x + (radius * scale) * e for radius, e in noise]
-    solved = _augmented_lagrangian_solve(
-        net, X[queries], starts, [pairs[q] for q in queries], stats)
-    for q, result in zip(queries, solved):
-        if results[q] is None or rank(result) < rank(results[q]):
-            results[q] = result
-    return results
+    noise = np.random.default_rng(opts.seed).standard_normal((opts.restarts, X.shape[1]))
+    radii = np.array([0.01, 0.1])[np.arange(opts.restarts) // 2 % 2, None]
+    S = X[solve, None]
+    scale = np.maximum(row_norms(X[solve]), 1.0)[:, None, None]
+    starts = np.concatenate([S, S + (scale * radii) * noise], axis=1).reshape(-1, X.shape[1])
+
+    m, rows = 1 + opts.restarts, np.repeat(np.flatnonzero(solve), 1 + opts.restarts)
+    solved = _augmented_lagrangian_solve(net, X[rows], starts, np.column_stack([I, J])[rows], stats)
+    best = iter(min(solved[k:k + m], key=rank) for k in range(0, len(solved), m))
+    on_boundary = iter(_make_results(X[~solve], X[~solve], I[~solve], J[~solve], Z[~solve]))
+    return [next(best) if s else next(on_boundary) for s in solve]
 
 
 def closest_flip(net, x, pair, opts=None):
@@ -627,26 +620,8 @@ def closest_flip(net, x, pair, opts=None):
     return closest_flips(net, [x], [pair], opts)[0]
 
 
-def flip_along_directions(net, X, D, pairs, t_max=None):
-    """First boundary crossing on each ray: from a row of X along the
-    matching nonzero row of D, for its pair. Doubling starts at
-    min(1e-4, t_max) and never passes t_max (positive and finite; one, or
-    one per row; default 1e6 * max(1, ||x||)), with one forward pass a
-    round; one paths.bracketed_roots call then shrinks every bracket to
-    1e-12 * max(1, t). A row with no sign change by t_max gets the point
-    there, with status bracket-failed."""
-    X, I, J, pairs = _queries(net, X, pairs)
-    D = np.asarray(D, dtype=np.float64)
-    if D.shape != X.shape:
-        raise ShapeError(f"expected one direction per query, got {D.shape} for {X.shape}")
-    norm = np.linalg.norm(D, axis=1)
-    if not norm.all():
-        raise InvalidParameterError("direction must be nonzero")
-    D = D / norm[:, None]
-    t_max = np.broadcast_to(1e6 * np.maximum(1.0, np.linalg.norm(X, axis=1)) if t_max is None
-                            else np.asarray(t_max, dtype=np.float64), len(X))
-    if not np.all((0 < t_max) & (t_max < math.inf)):
-        raise InvalidParameterError(f"t_max must be positive and finite, got {t_max}")
+def _first_crossings(net, X, D, I, J, t_max):
+    """flip_along_directions' rays as arrays (T, Z, failed), for unit D and pairs (I, J)."""
 
     def logits_and_gaps(T, rows):
         z, r = forward_batch(net, X[rows] + T[:, None] * D[rows])[0], np.arange(len(rows))
@@ -672,9 +647,36 @@ def flip_along_directions(net, X, D, pairs, t_max=None):
     T[b] = bracketed_roots(lambda t, rows: logits_and_gaps(t, b[rows])[1],
                            T[b], t_hi[b], G[b], g_hi[b])
     Z[b] = logits_and_gaps(T[b], b)[0]
-    results = [_make_result(x, x + t * d, pair, z) for x, d, t, z, pair in zip(X, D, T, Z, pairs)]
-    for k in np.flatnonzero(failed):
-        results[k].distance, results[k].status = float(T[k]), STATUS_BRACKET_FAILED
+    return T, Z, failed
+
+
+def flip_along_directions(net, X, D, pairs, t_max=None):
+    """First boundary crossing on each ray: from a row of X along the
+    matching nonzero row of D, for its pair. Doubling starts at
+    min(1e-4, t_max) and never passes t_max (positive and finite; one, or
+    one per row; default 1e6 * max(1, ||x||)), with one forward pass a
+    round; one paths.bracketed_roots call then shrinks every bracket to
+    1e-12 * max(1, t). A row with no sign change by t_max gets the point
+    there, with status bracket-failed and distance t_max."""
+    X, I, J = _queries(net, X, pairs)
+    D = np.asarray(D, dtype=np.float64)
+    if D.shape != X.shape:
+        raise ShapeError(f"expected one direction per query, got {D.shape} for {X.shape}")
+    norm = np.linalg.norm(D, axis=1)
+    if not norm.all():
+        raise InvalidParameterError("direction must be nonzero")
+    D = D / norm[:, None]
+    t_max = np.asarray(1e6 * np.maximum(1.0, np.linalg.norm(X, axis=1)) if t_max is None
+                       else t_max, dtype=np.float64)
+    if t_max.shape not in ((), (len(X),)):
+        raise ShapeError(f"expected one t_max or {len(X)}, got shape {t_max.shape}")
+    t_max = np.broadcast_to(t_max, len(X))
+    if not np.all((0 < t_max) & (t_max < math.inf)):
+        raise InvalidParameterError(f"t_max must be positive and finite, got {t_max}")
+    T, Z, failed = _first_crossings(net, X, D, I, J, t_max)
+    results = _make_results(X, X + T[:, None] * D, I, J, Z)
+    for result, t in zip(compress(results, failed), T[failed].tolist()):
+        result.distance, result.status = t, STATUS_BRACKET_FAILED
     return results
 
 
@@ -687,21 +689,18 @@ def _taylor_estimates(net, X, I, J):
     """TaylorEstimate of each row of X for its pair (I, J), from one
     forward pass and one VJP; None where the gradient is (near) zero."""
     gaps, grads = _gaps_and_grads(net, X, I, J)
-    estimates = []
-    for g, grad, gnorm in zip(gaps, grads, np.linalg.norm(grads, axis=1)):
-        if gnorm < 1e-14:
-            estimates.append(None)
-            continue
-        sign = 1.0 if g >= 0 else -1.0
-        estimates.append(TaylorEstimate(distance=float(abs(g) / gnorm),
-                                        direction=-sign * grad / gnorm))
-    return estimates
+    gnorm = np.linalg.norm(grads, axis=1)
+    ok = gnorm >= 1e-14
+    sign = np.where(gaps[ok] >= 0, 1.0, -1.0)[:, None]
+    found = map(TaylorEstimate, (np.abs(gaps[ok]) / gnorm[ok]).tolist(),
+                -sign * grads[ok] / gnorm[ok, None])
+    return [next(found) if k else None for k in ok]
 
 
 def taylor_estimate(net, x, pair):
     """First-order distance |g| / ||grad g|| and steepest direction to the
     linearized boundary, for g = z_i - z_j."""
-    tay = _taylor_estimates(net, *_queries(net, [x], [pair])[:3])[0]
+    tay = _taylor_estimates(net, *_queries(net, [x], [pair]))[0]
     if tay is None:
         raise DegenerateGradientError("logit-difference gradient is (near) zero")
     return tay
@@ -716,8 +715,7 @@ def angle_degrees(u, v):
     nu, nv = np.linalg.norm(u), np.linalg.norm(v)
     if nu == 0.0 or nv == 0.0:
         return float("nan")
-    u1 = np.asarray(u, dtype=np.float64) / nu
-    v1 = np.asarray(v, dtype=np.float64) / nv
+    u1, v1 = np.asarray(u, dtype=np.float64) / nu, np.asarray(v, dtype=np.float64) / nv
     c = float(np.dot(u1, v1))
     perp = np.linalg.norm(u1 - c * v1)
     return float(np.degrees(np.arctan2(perp, c)))
@@ -726,27 +724,15 @@ def angle_degrees(u, v):
 def _metrics(x, flip, tay, directional):
     """ComparisonMetrics of a query from its three results; NaN metrics
     when it has no Taylor estimate."""
-    nan = float("nan")
+    nan = math.nan
     if tay is None:
-        return ComparisonMetrics(beta=nan, directional_ratio=nan, angle_deg=nan, flip=flip,
-                                 taylor=TaylorEstimate(distance=nan, direction=None))
-    beta = flip.distance / tay.distance if tay.distance > 0 else nan
-    if directional.converged and flip.converged and flip.distance > 0:
-        directional_ratio = directional.distance / flip.distance
-    else:
-        directional_ratio = nan
-    if flip.converged and flip.distance > 0:
-        angle = angle_degrees(tay.direction, flip.point - x)
-    else:
-        angle = nan
+        return ComparisonMetrics(nan, nan, nan, flip, TaylorEstimate(nan, None))
+    ok = flip.converged and flip.distance > 0
+    ratio = directional.distance / flip.distance if ok and directional.converged else nan
     return ComparisonMetrics(
-        beta=float(beta),
-        directional_ratio=float(directional_ratio),
-        angle_deg=float(angle),
-        flip=flip,
-        taylor=tay,
-        directional=directional,
-    )
+        beta=flip.distance / tay.distance if tay.distance > 0 else nan, directional_ratio=ratio,
+        angle_deg=angle_degrees(tay.direction, flip.point - x) if ok else nan,
+        flip=flip, taylor=tay, directional=directional)
 
 
 def comparisons(net, X, pairs, opts=None, stats=None):
@@ -758,18 +744,18 @@ def comparisons(net, X, pairs, opts=None, stats=None):
     re-seeded from it in one more batched solve. stats, a SolverStats,
     accumulates the work of both solves.
     """
-    X, I, J, pairs = _queries(net, X, pairs)
-    tays = _taylor_estimates(net, X, I, J)
+    X, I, J = _queries(net, X, pairs)
+    tays, pairs = _taylor_estimates(net, X, I, J), np.column_stack([I, J])
     solved = closest_flips(net, X, pairs, opts, stats)
     rays = [q for q, tay in enumerate(tays) if tay is not None]
     found = iter(flip_along_directions(
         net, X[rays], np.reshape([tays[q].direction for q in rays], (len(rays), X.shape[1])),
-        [pairs[q] for q in rays]))
+        pairs[rays]))
     directionals = [None if tay is None else next(found) for tay in tays]
     reseed = [q for q, (flip, directional) in enumerate(zip(solved, directionals))
               if directional is not None and rank(directional) < rank(flip)]
-    reseeded = _augmented_lagrangian_solve(
-        net, X[reseed], [directionals[q].point for q in reseed], [pairs[q] for q in reseed], stats)
+    starts = np.reshape([directionals[q].point for q in reseed], (len(reseed), X.shape[1]))
+    reseeded = _augmented_lagrangian_solve(net, X[reseed], starts, pairs[reseed], stats)
     for q, result in zip(reseed, reseeded):
         solved[q] = min((solved[q], result, directionals[q]), key=rank)
     return [_metrics(*args) for args in zip(X, solved, tays, directionals)]

@@ -29,9 +29,12 @@ def activation_erf(y, sigma):
 
 
 def activation_erf_deriv(y, sigma):
-    """d/dy erf(y / sigma) = 2 / (sigma * sqrt(pi)) * exp(-(y / sigma)^2)."""
-    u = y / sigma
-    return (_TWO_OVER_SQRT_PI / sigma) * np.exp(-u * u)
+    """d/dy erf(y / sigma) = 2 / (sigma * sqrt(pi)) * exp(-(y / sigma)^2), and
+    exactly 0 where (y / sigma)^2 >= 708, so exp makes no subnormals."""
+    u2 = np.asarray(y / sigma)  # squared, negated and exponentiated in place
+    u2 *= u2
+    u2[u2 >= 708.0] = np.inf
+    return (_TWO_OVER_SQRT_PI / sigma) * np.exp(np.negative(u2, out=u2), out=u2)
 
 
 @dataclass
@@ -107,6 +110,12 @@ def softmax_rows(z):
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def row_norms(D):
+    """np.linalg.norm of each row of D, bit for bit: a stack of [1, d] @ [d, 1]
+    products reduces each row with the same dot kernel as a 1-D norm."""
+    return np.sqrt(np.matmul(D[:, None, :], D[:, :, None])[:, 0, 0])
 
 
 def cross_entropy(softmax, labels):

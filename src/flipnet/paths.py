@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize.elementwise import find_root
 
-from .errors import FlipnetError, InvalidInputError, InvalidParameterError
+from .errors import FlipnetError, InvalidInputError, InvalidParameterError, ShapeError
 from .network import (activation_erf, activation_erf_deriv, forward_batch, softmax_rows,
                       spectral_norm)
 
@@ -33,6 +33,8 @@ class LineSegment:
     def __post_init__(self):
         self.x1 = np.asarray(self.x1, dtype=np.float64)
         self.x2 = np.asarray(self.x2, dtype=np.float64)
+        if self.x1.ndim != 1 or self.x2.ndim != 1:
+            raise ShapeError(f"segment endpoints must be 1-D, got {self.x1.shape}, {self.x2.shape}")
         if self.x1.shape != self.x2.shape:
             raise InvalidInputError("segment endpoints must have the same shape")
         if np.array_equal(self.x1, self.x2):

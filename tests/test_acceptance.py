@@ -32,7 +32,7 @@ from flipnet.features import (
     load_cifar_batch,
     select_coefficients,
 )
-from flipnet.flips import angle_degrees
+from flipnet.flips import angle_degrees, comparisons
 from flipnet.network import forward, grad_scalar_wrt_input, logits_batch
 from flipnet.training import TrainConfig, init_network, train
 from conftest import (
@@ -75,15 +75,11 @@ def desk(tmp_path_factory):
         X_te, te_y,
     )
 
-    opts = SolveOptions(restarts=2, seed=0)
-    comps = []
-    legit_flags = []
-    for q in range(200):
-        m = compare(net, X_te[q], (0, 1), opts)
-        comps.append(m)
-        if m.flip.converged:
-            ok, _ = check_legitimate_image(m.flip.point, sel, te_coeffs[q])
-            legit_flags.append(ok)
+    # one batched solve over the 200 queries, as `flipnet flip` runs it
+    comps = comparisons(net, X_te[:200], [(0, 1)] * 200, SolveOptions(restarts=2, seed=0))
+    conv = [q for q, m in enumerate(comps) if m.flip.converged]
+    points = np.array([comps[q].flip.point for q in conv]).reshape(len(conv), X_te.shape[1])
+    legit_flags = check_legitimate_image(points, sel, te_coeffs[conv])[0].tolist()
     elapsed = time.perf_counter() - t0
     return {
         "net": net,

@@ -3,12 +3,14 @@ import pytest
 from scipy.special import erf, erfinv
 
 from flipnet import (
+    AttackConfig,
     Layer,
     Network,
     SolveOptions,
     check_legitimate_image,
     closest_flip,
     compare,
+    constrained_loss_attacks,
     flip_along_direction,
     forward,
     haar3d_forward,
@@ -18,7 +20,7 @@ from flipnet import flips
 from flipnet.errors import DegenerateGradientError, InvalidParameterError, ShapeError
 from flipnet.features import COEFF_COUNT, CoefficientSelector
 from flipnet.flips import STATUS_BRACKET_FAILED, angle_degrees
-from flipnet.network import logits_batch
+from flipnet.network import logits_batch, softmax_rows
 from conftest import grid_oracle_distance, make_linear_net, make_random_net
 
 
@@ -252,6 +254,41 @@ class TestClosestFlip:
             assert (counter.forward, counter.vjp) == (iters, iters)
 
 
+    def test_residuals_match_one_row_reference(self, rng):
+        Z = rng.standard_normal((60, 4)) * rng.uniform(0.1, 30.0, (60, 1))
+        I = rng.integers(0, 4, 60)
+        J = (I + rng.integers(1, 4, 60)) % 4
+        eq, margin = flips._residuals(Z, I, J)
+        for z, i, j, e, m in zip(Z, I, J, eq, margin):
+            s = softmax_rows(z)
+            assert (e, m) == (abs(s[i] - s[j]), s[i] - np.delete(s, [i, j]).max())
+        # with two classes no third score can dominate
+        assert np.all(flips._residuals(Z[:, :2], I % 2, 1 - I % 2)[1] == np.inf)
+
+    def test_polish_keeps_crossing_when_tangent_point_fails(self, rng, monkeypatch):
+        # the tangent polish's point replaces the ray crossing only when it
+        # is on the boundary to rounding and no farther from the query
+        net = make_linear_net(rng, 4)
+        X = rng.standard_normal((5, 4))
+        w = net.layers[0].weights[0] - net.layers[0].weights[1]
+        u = rng.standard_normal(4)
+        u -= (u @ w) / (w @ w) * w  # along the boundary hyperplane
+
+        def solve(stub):
+            monkeypatch.setattr(flips, "_tangent_polish", stub)
+            return flips.closest_flips(net, X, [(0, 1)] * 5, SolveOptions(restarts=1))
+
+        unchanged = solve(lambda net, x, p, i, j: np.array(p))
+        for stub in (lambda net, x, p, i, j: p + 0.1 * (x - p),  # nearer, off the boundary
+                     lambda net, x, p, i, j: p + 0.1 * u / np.linalg.norm(u)):  # on it, farther
+            for got, want in zip(solve(stub), unchanged):
+                assert want.converged
+                np.testing.assert_array_equal(got.point, want.point)
+                assert (got.distance, got.class_pair, got.equality_residual, got.dominance_margin,
+                        got.status) == (want.distance, want.class_pair, want.equality_residual,
+                                        want.dominance_margin, want.status)
+
+
 class TestBatchedSolve:
     """Many queries in one call: each row's answer is its own query's."""
 
@@ -385,6 +422,14 @@ class TestFlipAlongDirection:
         net = make_linear_net(rng, 3)
         with pytest.raises(InvalidParameterError, match="t_max"):
             flip_along_direction(net, rng.standard_normal(3), np.ones(3), (0, 1), t_max=t_max)
+
+    @pytest.mark.parametrize("t_max", [[1.0, 2.0], [1.0], np.ones((3, 1)), np.ones((1, 3))])
+    def test_rejects_t_max_of_wrong_shape(self, rng, t_max):
+        # one t_max for every ray, or one per ray; nothing else broadcasts
+        net = make_linear_net(rng, 3)
+        X, D = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
+        with pytest.raises(ShapeError, match="t_max"):
+            flips.flip_along_directions(net, X, D, [(0, 1)] * 3, t_max=t_max)
 
     def test_never_probes_past_t_max(self, rng, monkeypatch):
         # the boundary is 5e-5 away, nearer than the first doubling step
@@ -551,6 +596,25 @@ class TestClassPair:
         ])
         with pytest.raises(InvalidParameterError):
             self.ENTRY_POINTS[entry](net, np.array([0.3, -0.5]), pair)
+
+
+    NON_INTEGER_ENTRY_POINTS = {
+        "closest_flips": lambda net, X, pair: flips.closest_flips(net, X, [pair], FAST),
+        "comparisons": lambda net, X, pair: flips.comparisons(net, X, [pair], FAST),
+        "flip_along_directions": lambda net, X, pair: flips.flip_along_directions(
+            net, X, X, [pair]),
+        "taylor_estimate": lambda net, X, pair: taylor_estimate(net, X[0], pair),
+        "constrained_loss_attacks": lambda net, X, pair: constrained_loss_attacks(
+            net, X, [pair[0]], [AttackConfig(0.1, steps=2)]),
+    }
+
+    @pytest.mark.parametrize("pair", [(0.5, 1), (np.float64(1.0), 0), (1.5, 0)])
+    @pytest.mark.parametrize("entry", sorted(NON_INTEGER_ENTRY_POINTS))
+    def test_every_entry_point_rejects_non_integer_class_id(self, rng, entry, pair):
+        # truncated, each pair would name two valid classes and be solved
+        net = make_linear_net(rng, 3)
+        with pytest.raises(InvalidParameterError):
+            self.NON_INTEGER_ENTRY_POINTS[entry](net, rng.standard_normal((1, 3)), pair)
 
 
 class TestTaylorEstimate:

@@ -18,6 +18,7 @@ from flipnet import (
     vjp,
 )
 from flipnet.errors import FormatError, InvalidInputError, InvalidParameterError, ShapeError
+from flipnet.network import activation_erf_deriv, row_norms
 from conftest import make_random_net
 
 
@@ -49,6 +50,27 @@ class TestActivation:
             activation_erf(1.0, 0.0)
         with pytest.raises(InvalidParameterError):
             activation_erf(1.0, -1.0)
+
+
+    def test_deriv_is_zero_on_saturated_units(self):
+        # past (y / sigma)^2 = 708, exp(-u^2) would be subnormal or 0
+        sigma = 0.7
+        y = sigma * np.array([0.0, 0.5, -3.0, 26.5, -26.6, 26.61, -26.7, 27.0, 40.0, 1e3])
+        d = activation_erf_deriv(y, sigma)
+        u = y / sigma
+        live = u * u < 708.0
+        assert live.tolist() == [True] * 5 + [False] * 5
+        np.testing.assert_array_equal(d[live], 2.0 / math.sqrt(math.pi) / sigma
+                                      * np.exp(-u[live] * u[live]))
+        assert np.all(d[live] >= np.finfo(float).tiny) and np.all(d[~live] == 0.0)
+
+
+class TestRowNorms:
+    def test_bit_identical_to_one_row_norm(self, rng):
+        # np.linalg.norm(D, axis=1) differs from the 1-D norm in the last bit on some rows
+        for d in (1, 3, 8, 17, 200, 4096):
+            D = rng.standard_normal((40, d)) * rng.uniform(1e-3, 1e3, (40, 1))
+            assert row_norms(D).tolist() == [np.linalg.norm(row) for row in D]
 
 
 class TestForward:

@@ -16,7 +16,7 @@ from flipnet import (
     sample_line,
 )
 from flipnet import paths
-from flipnet.errors import FlipnetError, InvalidInputError, InvalidParameterError
+from flipnet.errors import FlipnetError, InvalidInputError, InvalidParameterError, ShapeError
 from flipnet.network import activation_erf_deriv, lipschitz_bound, logits_batch, spectral_norm
 from flipnet.paths import _cell_slopes
 from conftest import dense_crossing_count, make_bump_net, make_linear_net, make_random_net
@@ -214,6 +214,14 @@ class TestSampleLine:
 
 
 class TestCountCrossings:
+    def test_rejects_endpoints_not_1d(self, rng):
+        # a stack of endpoints used to fail deep inside the bisection
+        net = make_linear_net(rng, 3)
+        X = rng.standard_normal((2, 3))
+        for x1, x2 in [(X, X + 1.0), (X[0], X + 1.0), (np.float64(0.0), np.float64(1.0))]:
+            with pytest.raises(ShapeError, match="1-D"):
+                count_crossings(net, LineSegment(x1, x2))
+
     def test_same_class_endpoints_linear(self, rng):
         net = make_linear_net(rng, 3)
         w = net.layers[0].weights[0] - net.layers[0].weights[1]
