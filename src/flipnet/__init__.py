@@ -13,6 +13,7 @@ from .network import (
     cross_entropy,
     forward,
     forward_batch,
+    backward,
     vjp,
     grad_scalar_wrt_input,
     spectral_norm,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, ShapeError
+from .errors import InvalidParameterError, ShapeError, check_count
 from .flips import angle_degrees
 from .network import cross_entropy, forward_batch, row_norms, softmax_rows, vjp
 from .paths import LineSegment, count_crossings
@@ -32,10 +32,8 @@ class AttackConfig:
     def __post_init__(self):
         if not 0 < self.epsilon < math.inf:
             raise InvalidParameterError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if self.steps < 1:
-            raise InvalidParameterError("steps must be >= 1")
-        if self.restarts < 0:
-            raise InvalidParameterError("restarts must be >= 0")
+        check_count("steps", self.steps, 1)
+        check_count("restarts", self.restarts, 0)
 
 
 @dataclass
@@ -113,7 +111,7 @@ def _pgd_rows(net, X, P, targets, epsilon, steps, trace):
     for step in range(steps + 1):
         if trace is not None:
             trace.append(P)
-        Z, preacts = forward_batch(net, P)
+        Z, tape = forward_batch(net, P)
         softmax = softmax_rows(Z)
         loss = cross_entropy(softmax, targets)
         better = loss < best_loss
@@ -124,7 +122,7 @@ def _pgd_rows(net, X, P, targets, epsilon, steps, trace):
             break
         # d(-log softmax_t)/d logits = softmax - onehot; pull back to input
         softmax[ar, targets] -= 1.0
-        P = _project_ball(X, P - step_length * vjp(net, preacts, softmax), epsilon)
+        P = _project_ball(X, P - step_length * vjp(net, tape, softmax), epsilon)
     return best_P, best_loss, best_Z
 
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check on counts."""
+
+import numbers
 
 
 class FlipnetError(Exception):
@@ -11,6 +13,13 @@ class ShapeError(FlipnetError):
 
 class InvalidParameterError(FlipnetError):
     """A scalar parameter is out of its valid range."""
+
+
+def check_count(name, value, minimum):
+    """Raise InvalidParameterError unless value is an integer (a bool is
+    not) of at least minimum; a float count would be truncated silently."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise InvalidParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 class InvalidInputError(FlipnetError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, InvalidInputError, InvalidParameterError, ShapeError
+from .errors import FormatError, InvalidInputError, InvalidParameterError, ShapeError, check_count
 
 IMAGE_SHAPE = (32, 32, 3)
 PADDED_SHAPE = (32, 32, 4)
@@ -167,7 +167,8 @@ def select_coefficients(coeff_matrix, k):
     if A.ndim != 2:
         raise ShapeError("coefficient matrix must be 2-D")
     m, n = A.shape
-    if k < 0 or k > min(m, n):
+    check_count("k", k, 0)
+    if k > min(m, n):
         raise InvalidParameterError(f"k={k} out of range [0, {min(m, n)}]")
     if not np.all(np.isfinite(A)):
         raise InvalidInputError("coefficient matrix contains non-finite values")

@@ -21,7 +21,7 @@ import numpy as np
 # minimize is unused here: perfbench/spans.py wraps this name until benchmark v2
 from scipy.optimize import minimize  # noqa: F401
 
-from .errors import DegenerateGradientError, InvalidParameterError, ShapeError
+from .errors import DegenerateGradientError, InvalidParameterError, ShapeError, check_count
 from .features import haar3d_inverse, scatter_selector
 from .network import forward_batch, row_norms, softmax_rows, vjp
 from .paths import bracketed_roots
@@ -101,8 +101,7 @@ class SolveOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 0:
-            raise InvalidParameterError(f"restarts must be >= 0, got {self.restarts}")
+        check_count("restarts", self.restarts, 0)
 
 
 def _residuals(Z, I, J):
@@ -136,11 +135,11 @@ def _queries(net, X, pairs):
 def _gaps_and_grads(net, P, I, J):
     """Logit gaps z_i - z_j at the rows of P and their input gradients:
     one forward pass, one VJP."""
-    z, preacts = forward_batch(net, P)
+    z, tape = forward_batch(net, P)
     r = np.arange(len(P))
     coeffs = np.zeros((len(P), net.class_count))
     coeffs[r, I], coeffs[r, J] = 1.0, -1.0
-    return z[r, I] - z[r, J], vjp(net, preacts, coeffs)
+    return z[r, I] - z[r, J], vjp(net, tape, coeffs)
 
 
 def _make_results(X, P, I, J, Z):
@@ -197,7 +196,7 @@ def _al_objective(net, rows):
     """Logits, augmented-Lagrangian objective and its gradient at the
     trial points of the solver rows: one forward pass, one VJP."""
     T, i, j, lam, mu = rows.t, rows.i, rows.j, rows.lam, rows.mu
-    z, preacts = forward_batch(net, T)
+    z, tape = forward_batch(net, T)
     r = np.arange(len(T))
     h, v = _gaps_and_violations(z, i, j)
     dx = T - rows.x
@@ -208,7 +207,7 @@ def _al_objective(net, rows):
     coeffs = mu[:, None] * v
     coeffs[r, i] += lam + mu * h - mu * v.sum(axis=1)
     coeffs[r, j] -= lam + mu * h
-    return z, f, 2.0 * dx + vjp(net, preacts, coeffs)
+    return z, f, 2.0 * dx + vjp(net, tape, coeffs)
 
 
 class _Rows:

@@ -1,10 +1,11 @@
 """Feedforward network with tunable error-function activations.
 
 Hidden layers apply erf(y / sigma) elementwise with a per-layer sigma;
-the output layer is linear and feeds softmax. The forward pass, the
-reverse sweep (input-gradient VJP) over its preactivations, the spectral
-norm and the Lipschitz upper bound for the logit map all live here,
-together with the binary checkpoint format.
+the output layer is linear and feeds softmax. The forward pass and its
+tape, the one reverse sweep over that tape (which the input-gradient
+VJP and training's parameter gradients both read), the spectral norm
+and the Lipschitz upper bound for the logit map all live here, together
+with the binary checkpoint format.
 """
 
 import math
@@ -128,50 +129,50 @@ def cross_entropy(softmax, labels):
     return -np.log(np.maximum(p, 1e-300))
 
 
-def forward_batch(net, X):
-    """Logits and per-layer preactivations for a batch of rows.
-
-    Returns (logits [n, class_count], preacts list of [n, n_out_l]).
-    """
+def forward_batch(net, X, masks=None):
+    """(logits [n, class_count], tape) for a batch of rows; the tape holds
+    each layer's (input, preactivation). masks, one array per hidden layer,
+    multiply its activations (training's inverted dropout)."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != net.input_dim:
         raise ShapeError(f"expected [n, {net.input_dim}] input, got {X.shape}")
     if not np.all(np.isfinite(X)):
         raise InvalidInputError("input contains non-finite values")
-    a = X
-    preacts = []
+    a, tape = X, []
     for li, layer in enumerate(net.layers):
         y = a @ layer.weights.T + layer.bias
-        preacts.append(y)
+        tape.append((a, y))
+        a = y
         if li < len(net.layers) - 1:
             a = activation_erf(y, layer.sigma)
-        else:
-            a = y
-    return a, preacts
+            if masks is not None:
+                a *= masks[li]
+    return a, tape
 
 
-def vjp(net, preacts, coeffs):
-    """Input gradient of coeffs . z, by one reverse sweep over a forward tape.
-
-    preacts is the list forward_batch returned for rows X. coeffs has
-    shape [class_count] (the same for every row) or [n, class_count]
-    (one vector per row). Returns [n, input_dim].
-    """
-    n = preacts[0].shape[0]
+def backward(net, tape, coeffs, masks=None):
+    """The one reverse sweep over forward_batch's tape (and masks): one
+    [n, n_out] array of d(coeffs . z)/d(preactivation) per layer, in layer
+    order. coeffs is [class_count] for every row or [n, class_count]."""
+    n = tape[0][1].shape[0]
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if coeffs.shape not in ((net.class_count,), (n, net.class_count)):
-        raise ShapeError(
-            f"coeffs must have shape ({net.class_count},) or ({n}, {net.class_count}), "
-            f"got {coeffs.shape}"
-        )
-    # g holds d(objective)/d(activation of layer li)
-    g = np.broadcast_to(coeffs, (n, net.class_count))
-    for li in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[li]
-        if li < len(net.layers) - 1:
-            g = g * activation_erf_deriv(preacts[li], layer.sigma)
-        g = g @ layer.weights
-    return g
+        raise ShapeError(f"coeffs must have shape ({net.class_count},) or "
+                         f"({n}, {net.class_count}), got {coeffs.shape}")
+    terms = [np.broadcast_to(coeffs, (n, net.class_count))]
+    for li in range(len(net.layers) - 2, -1, -1):
+        g = terms[-1] @ net.layers[li + 1].weights
+        if masks is not None:
+            g *= masks[li]
+        g *= activation_erf_deriv(tape[li][1], net.layers[li].sigma)
+        terms.append(g)
+    return terms[::-1]
+
+
+def vjp(net, tape, coeffs):
+    """Input gradient [n, input_dim] of coeffs . z: backward's first-layer
+    term times the first weight matrix."""
+    return backward(net, tape, coeffs)[0] @ net.layers[0].weights
 
 
 def forward(net, x):

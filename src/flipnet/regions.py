@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import coo_matrix, csgraph
 
-from .errors import InvalidInputError, InvalidParameterError
+from .errors import InvalidInputError, InvalidParameterError, check_count
 from .network import forward_batch
 from .paths import LineSegment, count_crossings
 
@@ -72,7 +72,8 @@ def region_report(net, features, labels, class_id, max_points=0, seed=0):
     the points by a seeded sample; 0 keeps every correctly classified
     point, and any other value must be at least 2.
     """
-    if max_points != 0 and max_points < 2:
+    check_count("max_points", max_points, 0)
+    if max_points == 1:
         raise InvalidParameterError(f"max_points must be 0 or >= 2, got {max_points}")
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)

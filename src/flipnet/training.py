@@ -9,9 +9,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidParameterError, TrainingDivergedError
-from .network import (Layer, Network, activation_erf, activation_erf_deriv, cross_entropy,
-                      forward_batch, softmax_rows)
+from .errors import (InvalidInputError, InvalidParameterError, ShapeError, TrainingDivergedError,
+                     check_count)
+from .network import Layer, Network, backward, cross_entropy, forward_batch, softmax_rows
 
 SIGMA_FLOOR = 1e-3
 ADAM_BETA1 = 0.9
@@ -33,10 +33,8 @@ class TrainConfig:
                 f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise InvalidParameterError("dropout_rate must be in [0, 1)")
-        if self.epochs < 0:
-            raise InvalidParameterError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise InvalidParameterError(f"batch_size must be >= 1, got {self.batch_size}")
+        check_count("epochs", self.epochs, 0)
+        check_count("batch_size", self.batch_size, 1)
 
 
 @dataclass
@@ -48,8 +46,8 @@ class TrainReport:
 
 def init_network(layer_sizes, seed=0):
     """Scaled-uniform init, range +-sqrt(6 / (n_in + n_out)), every sigma 1."""
-    if any(n < 1 for n in layer_sizes):
-        raise InvalidParameterError(f"layer sizes must be >= 1, got {layer_sizes}")
+    for n in layer_sizes:
+        check_count("layer size", n, 1)
     rng = np.random.default_rng(seed)
     layers = []
     for n_in, n_out in zip(layer_sizes, layer_sizes[1:]):
@@ -59,44 +57,43 @@ def init_network(layer_sizes, seed=0):
     return Network(layers)
 
 
-def _forward_train(net, X, dropout_rate, rng):
-    """Forward pass with inverted dropout on hidden activations.
+def _loss_and_grads(net, X, y, dropout_rate, rng):
+    """Mean cross-entropy of one batch and one (gW, gb, gsigma) per layer.
 
-    Returns (softmax, caches) where caches hold per-layer inputs,
-    preactivations and dropout masks for the backward pass. At rate 0
-    every mask is the scalar 1.0 and no random number is drawn.
+    The dropout masks are drawn first, one per hidden layer in layer
+    order (none at rate 0, drawing nothing). Both passes are network's:
+    the tape gives each layer's input and preactivation, and backward
+    each preactivation's gradient.
     """
-    a = X
-    caches = []
-    for layer in net.layers[:-1]:
-        y = a @ layer.weights.T + layer.bias
-        mask = 1.0
-        if dropout_rate > 0.0:
-            mask = (rng.random(y.shape) >= dropout_rate) / (1.0 - dropout_rate)
-        caches.append((a, y, mask))
-        a = activation_erf(y, layer.sigma) * mask
-    out = net.layers[-1]
-    y = a @ out.weights.T + out.bias
-    caches.append((a, y, 1.0))
-    return softmax_rows(y), caches
+    masks = None
+    if dropout_rate > 0.0:
+        masks = [(rng.random((len(X), layer.n_out)) >= dropout_rate) / (1.0 - dropout_rate)
+                 for layer in net.layers[:-1]]
+    logits, tape = forward_batch(net, X, masks)
+    probs = softmax_rows(logits)
+    terms = backward(net, tape, (probs - np.eye(net.class_count)[y]) / len(y), masks)
+    # d erf(y/s) / ds = -(y / s) * d erf(y/s) / dy; the linear output layer has no sigma
+    grads = [(g.T @ a, g.sum(axis=0), float(-np.sum(g * (z / layer.sigma))))
+             for layer, (a, z), g in zip(net.layers[:-1], tape, terms)]
+    (a, _), g = tape[-1], terms[-1]
+    return float(np.mean(cross_entropy(probs, y))), grads + [(g.T @ a, g.sum(axis=0), 0.0)]
 
 
-def _backward(net, caches, delta_logits):
-    """Gradients of the mean loss wrt every weight, bias and sigma.
-
-    delta_logits is d(mean loss)/d(logits) = (softmax - onehot) / batch.
-    Returns one (gW, gb, gsigma) tuple per layer, in layer order; the
-    output layer has no activation, so its sigma gradient is zero.
-    """
-    g = delta_logits  # d(loss)/d(preactivation of the current layer)
-    grads = [(g.T @ caches[-1][0], g.sum(axis=0), 0.0)]
-    for li in range(len(net.layers) - 2, -1, -1):
-        layer = net.layers[li]
-        a_in, y, mask = caches[li]
-        g = (g @ net.layers[li + 1].weights) * mask * activation_erf_deriv(y, layer.sigma)
-        # d erf(y/s) / ds = -(y / s) * d erf(y/s) / dy
-        grads.append((g.T @ a_in, g.sum(axis=0), float(-np.sum(g * (y / layer.sigma)))))
-    return grads[::-1]
+def _checked_split(net, name, features, labels):
+    """(features, labels) as float [n, input_dim] and int [n] arrays of
+    finite rows and integer classes of net; checked before the first epoch."""
+    features, labels = np.asarray(features, dtype=np.float64), np.asarray(labels)
+    if features.ndim != 2 or features.shape[1] != net.input_dim:
+        raise ShapeError(f"{name} features must be [n, {net.input_dim}], got {features.shape}")
+    if len(features) == 0:
+        raise InvalidInputError(f"{name} set is empty")
+    if labels.shape != (len(features),):
+        raise InvalidInputError(f"{name} feature/label counts differ")
+    if labels.dtype.kind not in "iu" or np.any((labels < 0) | (labels >= net.class_count)):
+        raise InvalidInputError(f"{name} labels must be integer classes in [0, {net.class_count})")
+    if not np.all(np.isfinite(features)):
+        raise InvalidInputError(f"{name} features must be finite")
+    return features, labels.astype(np.int64)
 
 
 def train(net, features, labels, cfg, test_features=None, test_labels=None):
@@ -105,17 +102,9 @@ def train(net, features, labels, cfg, test_features=None, test_labels=None):
     Returns (trained network, TrainReport). Deterministic for a fixed
     config: the shuffle and dropout streams are derived from cfg.seed.
     """
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if features.shape[0] == 0:
-        raise InvalidInputError("dataset is empty")
-    if features.shape[0] != labels.shape[0]:
-        raise InvalidInputError("feature/label counts differ")
-    if labels.min() < 0 or labels.max() >= net.class_count:
-        raise InvalidInputError(f"labels must lie in [0, {net.class_count})")
-    for name, X in (("training", features), ("test", test_features)):
-        if X is not None and not np.all(np.isfinite(X)):
-            raise InvalidInputError(f"{name} features must be finite")
+    features, labels = _checked_split(net, "training", features, labels)
+    if test_features is not None:
+        test_features, test_labels = _checked_split(net, "test", test_features, test_labels)
 
     net = net.copy()
     report = TrainReport()
@@ -124,18 +113,14 @@ def train(net, features, labels, cfg, test_features=None, test_labels=None):
     moments = [[(0.0, 0.0)] * 3 for _ in net.layers]
     t = 0
     n = features.shape[0]
-    onehot = np.eye(net.class_count)
 
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         losses = []
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            X, y = features[idx], labels[idx]
-            probs, caches = _forward_train(net, X, cfg.dropout_rate, rng)
-            losses.append(float(np.mean(cross_entropy(probs, y))) * len(y))
-            delta = (probs - onehot[y]) / len(y)
-            grads = _backward(net, caches, delta)
+            loss, grads = _loss_and_grads(net, features[idx], labels[idx], cfg.dropout_rate, rng)
+            losses.append(loss * len(idx))
             t += 1
             for layer, layer_grads, layer_moments in zip(net.layers, grads, moments):
                 params = [layer.weights, layer.bias, layer.sigma]
@@ -144,10 +129,8 @@ def train(net, features, labels, cfg, test_features=None, test_labels=None):
                     m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
                     v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
                     layer_moments[k] = (m, v)
-                    m_hat = m / (1 - ADAM_BETA1**t)
-                    v_hat = v / (1 - ADAM_BETA2**t)
-                    step = cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-                    params[k] = params[k] - step
+                    m_hat, v_hat = m / (1 - ADAM_BETA1**t), v / (1 - ADAM_BETA2**t)
+                    params[k] = params[k] - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
                 layer.weights, layer.bias, sigma = params
                 layer.sigma = max(float(sigma), SIGMA_FLOOR)
         epoch_loss = float(np.sum(losses) / n)
@@ -163,8 +146,5 @@ def train(net, features, labels, cfg, test_features=None, test_labels=None):
 
 def evaluate_accuracy(net, features, labels):
     """Fraction of argmax predictions equal to labels; ties to lower id."""
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    logits, _ = forward_batch(net, features)
-    preds = np.argmax(logits, axis=1)  # argmax takes the first (lowest) on ties
-    return float(np.mean(preds == labels))
+    preds = np.argmax(forward_batch(net, features)[0], axis=1)  # the first (lowest) on ties
+    return float(np.mean(preds == np.asarray(labels, dtype=np.int64)))

@@ -54,7 +54,7 @@ def _reference_attack(net, x, target, cfg):
     best_p, best_loss = None, math.inf
     for p in starts:
         for step in range(cfg.steps + 1):
-            z, preacts = network.forward_batch(net, p[None, :])
+            z, tape = network.forward_batch(net, p[None, :])
             softmax = network.softmax_rows(z[0])
             loss = -math.log(max(softmax[target], 1e-300))
             if loss < best_loss:
@@ -62,7 +62,7 @@ def _reference_attack(net, x, target, cfg):
             if step == cfg.steps:
                 break
             softmax[target] -= 1.0
-            grad = network.vjp(net, preacts, softmax)[0]
+            grad = network.vjp(net, tape, softmax)[0]
             p = _reference_project_ball(x, p - step_length * grad, cfg.epsilon)
     pred = int(np.argmax(forward(net, best_p).logits))
     return best_p, best_loss, pred == target, starts

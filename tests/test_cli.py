@@ -411,6 +411,18 @@ class TestMalformedInputs:
         assert "kind=InvalidInputError" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_train_rejects_test_features_of_another_k(self, trained_dir, tmp_path, capsys):
+        # one column fewer, as from prepare with a smaller --k; caught before any epoch
+        lines = (trained_dir / "test_features.csv").read_text().splitlines()
+        feats = tmp_path / "features.csv"
+        feats.write_text("\n".join(line.rsplit(",", 1)[0] for line in lines) + "\n")
+        code = run(["train", "--features", trained_dir / "train_features.csv",
+                    "--test-features", feats, "--epochs", 1, "--out-dir", tmp_path / "out"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "kind=ShapeError" in err and "test features" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestPath:
     @pytest.mark.parametrize("flags", [

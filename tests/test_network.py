@@ -18,7 +18,7 @@ from flipnet import (
     vjp,
 )
 from flipnet.errors import FormatError, InvalidInputError, InvalidParameterError, ShapeError
-from flipnet.network import activation_erf_deriv, row_norms
+from flipnet.network import activation_erf_deriv, backward, row_norms
 from conftest import make_random_net
 
 
@@ -193,12 +193,31 @@ class TestVjp:
                 fd = np.sum((zp - zm) * C, axis=1) / (2 * h)
                 np.testing.assert_allclose(G[:, k], fd, rtol=1e-6, atol=1e-9)
 
+    def test_tape_holds_each_layers_input_and_preactivation(self, rng):
+        net = make_random_net(rng, [3, 5, 4, 2])
+        X = rng.standard_normal((6, 3))
+        masks = [rng.uniform(0.5, 2.0, (6, 5)), rng.uniform(0.5, 2.0, (6, 4))]
+        z, tape = forward_batch(net, X, masks)
+        assert np.array_equal(tape[0][0], X)
+        for li, layer in enumerate(net.layers):
+            a, y = tape[li]
+            assert np.array_equal(y, a @ layer.weights.T + layer.bias)
+            if li < 2:
+                assert np.array_equal(tape[li + 1][0], activation_erf(y, layer.sigma) * masks[li])
+        assert np.array_equal(z, tape[-1][1])
+        # masks of ones change no bit, and vjp is backward's first term times W_1
+        ones = [np.ones((6, 5)), np.ones((6, 4))]
+        assert np.array_equal(forward_batch(net, X, ones)[0], forward_batch(net, X)[0])
+        _, tape = forward_batch(net, X)
+        C = rng.standard_normal((6, 2))
+        assert np.array_equal(vjp(net, tape, C), backward(net, tape, C)[0] @ net.layers[0].weights)
+
     def test_wrong_coeff_length(self, rng):
         net = make_random_net(rng, [3, 5, 2])
-        _, preacts = forward_batch(net, rng.standard_normal((4, 3)))
+        _, tape = forward_batch(net, rng.standard_normal((4, 3)))
         for bad in (np.zeros(3), np.zeros((4, 3)), np.zeros((3, 2))):
             with pytest.raises(ShapeError):
-                vjp(net, preacts, bad)
+                vjp(net, tape, bad)
 
 
 class TestSpectralNorm:

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from flipnet import Layer, Network, cross_entropy, evaluate_accuracy, forward, train
-from flipnet.errors import InvalidInputError, InvalidParameterError
+from flipnet.errors import InvalidInputError, InvalidParameterError, ShapeError
 from flipnet.network import softmax_rows
-from flipnet.training import (ADAM_EPS, SIGMA_FLOOR, TrainConfig, _backward, _forward_train,
-                              init_network)
+from flipnet.training import ADAM_EPS, SIGMA_FLOOR, TrainConfig, _loss_and_grads, init_network
 from conftest import make_random_net
 
 
@@ -62,6 +61,36 @@ class TestCrossEntropy:
             assert abs(analytic[k] - fd) <= 1e-6 * max(abs(fd), 1e-6)
 
 
+class RecordingGenerator:
+    """A numpy Generator that records each draw as (method, args)."""
+
+    def __init__(self, rng):
+        self._rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        def draw(*args, **kwargs):
+            self.calls.append((name, args))
+            return getattr(self._rng, name)(*args, **kwargs)
+        return draw
+
+
+def recorded_draws(monkeypatch, run):
+    """Calls run() with every numpy Generator it makes recording; returns
+    their draws, in order."""
+    generators, make = [], np.random.default_rng
+
+    def recording(seed=None):
+        generators.append(RecordingGenerator(make(seed)))
+        return generators[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    try:
+        run()
+    finally:
+        monkeypatch.setattr(np.random, "default_rng", make)
+    return [call for g in generators for call in g.calls]
+
+
 class TestBackward:
     @pytest.mark.parametrize("dropout_rate", [0.0, 0.5])
     def test_gradients_match_central_differences(self, rng, dropout_rate):
@@ -74,8 +103,7 @@ class TestBackward:
         y = np.array([0, 1, 1, 0, 1, 0])
 
         def mean_loss(n):
-            probs, _ = _forward_train(n, X, dropout_rate, np.random.default_rng(5))
-            return float(np.mean(cross_entropy(probs, y)))
+            return _loss_and_grads(n, X, y, dropout_rate, np.random.default_rng(5))[0]
 
         def central_difference(li, name, index=()):
             h = 1e-6
@@ -90,8 +118,7 @@ class TestBackward:
                 diffs.append(mean_loss(moved))
             return (diffs[0] - diffs[1]) / (2 * h)
 
-        probs, caches = _forward_train(net, X, dropout_rate, np.random.default_rng(5))
-        grads = _backward(net, caches, (probs - np.eye(2)[y]) / len(y))
+        grads = _loss_and_grads(net, X, y, dropout_rate, np.random.default_rng(5))[1]
         assert len(grads) == len(net.layers)
         for li, (gW, gb, gsigma) in enumerate(grads):
             for name, analytic in (("weights", gW), ("bias", gb)):
@@ -102,6 +129,24 @@ class TestBackward:
             # the output layer has no activation, so its sigma moves nothing
             assert gsigma == pytest.approx(central_difference(li, "sigma"), rel=1e-6, abs=1e-9)
         assert grads[-1][2] == 0.0
+
+
+class TestRandomStream:
+    def test_dropout_off_draws_only_the_epoch_permutations(self, rng, monkeypatch):
+        X, y = blobs(rng)
+        net = init_network([2, 6, 5, 2], seed=1)
+        cfg = TrainConfig(epochs=3, dropout_rate=0.0, seed=2, batch_size=64)
+        draws = recorded_draws(monkeypatch, lambda: train(net, X, y, cfg))
+        assert draws == [("permutation", (200,))] * 3
+
+    def test_dropout_draws_one_mask_per_hidden_layer_per_batch(self, rng, monkeypatch):
+        # 200 rows in batches of 64, 64, 64 and 8; masks in layer order
+        X, y = blobs(rng)
+        net = init_network([2, 6, 5, 2], seed=1)
+        cfg = TrainConfig(epochs=2, dropout_rate=0.5, seed=2, batch_size=64)
+        draws = recorded_draws(monkeypatch, lambda: train(net, X, y, cfg))
+        batches = [("random", ((rows, n_out),)) for rows in (64, 64, 64, 8) for n_out in (6, 5)]
+        assert draws == ([("permutation", (200,))] + batches) * 2
 
 
 class TestTrain:
@@ -178,11 +223,12 @@ class TestTrain:
         on, _ = train(net, X, y, TrainConfig(epochs=5, dropout_rate=0.0, seed=1))
         assert on.layers[0].sigma != 1.0
 
-    @pytest.mark.parametrize("bad", [-1, 2, 5])
+    @pytest.mark.parametrize("bad", [-1, 2, 5, 0.5])
     def test_label_outside_classes(self, rng, bad):
-        # numpy would wrap -1 to the last class and fail on 5 with a raw IndexError
+        # numpy would wrap -1 to the last class and fail on 5 with a raw IndexError;
+        # a float label array would be truncated to classes
         X, y = blobs(rng)
-        y[3] = bad
+        y = np.where(np.arange(len(y)) == 3, bad, y)
         with pytest.raises(InvalidInputError):
             train(init_network([2, 8, 2], seed=0), X, y, TrainConfig(epochs=1))
 
@@ -195,6 +241,32 @@ class TestTrain:
         net = init_network([2, 2], seed=0)
         with pytest.raises(InvalidInputError):
             train(net, np.empty((0, 2)), np.empty(0, int), TrainConfig(epochs=1))
+
+    BAD_TEST_SETS = {
+        "one column narrower": (lambda X, y: (X[:, :1], y), ShapeError),
+        "one label short": (lambda X, y: (X, y[:-1]), InvalidInputError),
+        "label 2 of 2 classes": (lambda X, y: (X, np.where(np.arange(len(y)) == 7, 2, y)),
+                                 InvalidInputError),
+        "label -1": (lambda X, y: (X, np.where(np.arange(len(y)) == 7, -1, y)),
+                     InvalidInputError),
+        "empty": (lambda X, y: (X[:0], y[:0]), InvalidInputError),
+        "labels missing": (lambda X, y: (X, None), InvalidInputError),
+        "float labels": (lambda X, y: (X, y + 0.5), InvalidInputError),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_TEST_SETS))
+    def test_bad_test_set_fails_before_the_first_epoch(self, rng, monkeypatch, case):
+        # these used to run every epoch, then fail or miscount (float labels
+        # were truncated)
+        X, y = blobs(rng)
+        make_test_set, error = self.BAD_TEST_SETS[case]
+        net = init_network([2, 4, 2], seed=0)
+
+        def run():
+            with pytest.raises(error, match="test"):
+                train(net, X, y, TrainConfig(epochs=15), *make_test_set(X, y))
+
+        assert recorded_draws(monkeypatch, run) == []  # no epoch's permutation
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("split", ["training", "test"])
