@@ -34,6 +34,7 @@ class AttackConfig:
             raise InvalidParameterError(f"epsilon must be positive and finite, got {self.epsilon}")
         check_count("steps", self.steps, 1)
         check_count("restarts", self.restarts, 0)
+        check_count("seed", self.seed, 0)
 
 
 @dataclass

@@ -76,11 +76,11 @@ PENALTY_GROWTH = 10.0
 INNER_MAXITER = 500
 INNER_FTOL = 1e-14  # relative decrease of the objective that ends an inner solve
 INNER_GTOL = 1e-12  # largest gradient component that ends an inner solve
-# L-BFGS-B's settings for an unbounded problem: curvature pairs kept,
-# and its Moré-Thuente line search's sufficient-decrease, curvature and
-# interval tolerances, evaluations per search and largest step
+# curvature pairs kept (L-BFGS-B's default), and the backtracking line
+# search's sufficient-decrease tolerance, evaluations per search and
+# largest first step
 MEMORY = 10
-LS_FTOL, LS_GTOL, LS_XTOL = 1e-3, 0.9, 0.1
+LS_FTOL = 1e-3
 LS_EVALS = 20
 STEP_MAX = 1e10
 CHUNK_ROWS = 2048  # solver rows per iterate array; caps the memory of a solve
@@ -102,6 +102,7 @@ class SolveOptions:
 
     def __post_init__(self):
         check_count("restarts", self.restarts, 0)
+        check_count("seed", self.seed, 0)
 
 
 def _residuals(Z, I, J):
@@ -117,13 +118,18 @@ def _residuals(Z, I, J):
 
 def _queries(net, X, pairs):
     """(X, I, J): X as a float [n, d] array with one class pair per row,
-    else ShapeError; the pairs as class ids I, J, each pair two distinct
-    integer classes of net, else InvalidParameterError."""
+    each pair two class ids, else ShapeError; the pairs as class ids I, J,
+    each pair two distinct integer classes of net, else
+    InvalidParameterError."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or len(pairs) != len(X):
         raise ShapeError(f"expected X [n, d] with n class pairs, got {X.shape} and "
                          f"{len(pairs)} pairs")
-    ids = np.array(pairs).reshape(len(pairs), 2)
+    try:
+        ids = np.array(pairs).reshape(len(pairs), 2)
+    except ValueError:
+        raise ShapeError(f"expected each of the {len(pairs)} class pairs to be two "
+                         "class ids") from None
     bad = ((ids.dtype.kind not in "iu") | (ids[:, 0] == ids[:, 1])
            | np.any((ids < 0) | (ids >= net.class_count), axis=1))
     if bad.any():
@@ -222,139 +228,24 @@ class _Rows:
             setattr(self, name, value[mask])
 
 
-# Columns of the line-search state rows.ls: the trial step, f and the
-# slope at step 0, the best step so far (stx) and the interval's other
-# end (sty) with f and the slope at each, the bounds of the next step,
-# the last two interval widths, and two flags (bracketed, second stage)
-(_STP, _F0, _G0, _STX, _FX, _GX, _STY, _FY, _GY, _STMIN, _STMAX, _WIDTH, _WIDTH1, _BRACKT,
- _STAGE2) = range(15)
+def _backtrack(rows, f):
+    """One backtracking step of every row in a search (rows.line), with f
+    each row's objective at its trial step rows.stp.
 
-
-def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
-    """MINPACK-2's dcstep: a safeguarded step from the interval [stx, sty]
-    and the trial step stp (f and slope at each), and the new interval.
-
-    Returns (step, stx, fx, dx, sty, fy, dy, brackt). Square roots of
-    negative rounding residues are taken as 0.
+    A row accepts its step when f <= f0 + LS_FTOL stp g0, for f0 = rows.f
+    and g0 = rows.g0 the objective and slope at step 0. Every other row
+    in a search cuts its step to the minimizer of the quadratic through
+    (0, f0, g0) and (stp, f), kept in [0.1, 0.5] stp, or to 0.5 stp where
+    that minimizer is not finite (Nocedal and Wright, section 3.5).
+    Returns the rows that accept.
     """
-    sgnd = dp * math.copysign(1.0, dx) if dx else math.nan
-    if fp > fx or sgnd < 0.0 or abs(dp) < abs(dx):
-        # the cubic through (stx, fx, dx) and (stp, fp, dp)
-        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
-        s = max(abs(theta), abs(dx), abs(dp))
-        gamma = s * math.sqrt(max((theta / s) ** 2 - (dx / s) * (dp / s), 0.0))
-        if (stp < stx) if fp > fx else (stp > stx):
-            gamma = -gamma
-    if fp > fx:
-        # higher f: the minimum is bracketed; the cubic's step, or
-        # halfway to the quadratic's
-        r = ((gamma - dx) + theta) / (((gamma - dx) + gamma) + dp)
-        stpc = stx + r * (stp - stx)
-        stpq = stx + ((dx / ((fx - fp) / (stp - stx) + dx)) / 2.0) * (stp - stx)
-        step = stpc if abs(stpc - stx) < abs(stpq - stx) else stpc + (stpq - stpc) / 2.0
-        brackt = True
-    elif sgnd < 0.0:
-        # slopes of opposite sign: bracketed; the cubic's or the secant's step
-        r = ((gamma - dp) + theta) / (((gamma - dp) + gamma) + dx)
-        stpc = stp + r * (stx - stp)
-        stpq = stp + (dp / (dp - dx)) * (stx - stp)
-        step = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
-        brackt = True
-    elif abs(dp) < abs(dx):
-        # same sign, slope shrinking: the cubic's step if it lies beyond stp
-        r = ((gamma - dp) + theta) / ((gamma + (dx - dp)) + gamma)
-        if r < 0.0 and gamma != 0.0:
-            stpc = stp + r * (stx - stp)
-        else:
-            stpc = stpmax if stp > stx else stpmin
-        stpq = stp + (dp / (dp - dx)) * (stx - stp)
-        if brackt:
-            step = stpc if abs(stpc - stp) < abs(stpq - stp) else stpq
-            toward = stp + 0.66 * (sty - stp)
-            step = min(toward, step) if stp > stx else max(toward, step)
-        else:
-            step = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
-            step = max(stpmin, min(stpmax, step))
-    elif brackt:
-        # same sign, slope not shrinking: the cubic through sty
-        theta = 3.0 * (fp - fy) / (sty - stp) + dy + dp
-        s = max(abs(theta), abs(dy), abs(dp))
-        gamma = s * math.sqrt(max((theta / s) ** 2 - (dy / s) * (dp / s), 0.0))
-        if stp > sty:
-            gamma = -gamma
-        r = ((gamma - dp) + theta) / (((gamma - dp) + gamma) + dy)
-        step = stp + r * (sty - stp)
-    else:
-        step = stpmax if stp > stx else stpmin
-    if fp > fx:
-        sty, fy, dy = stp, fp, dp
-    else:
-        if sgnd < 0.0:
-            sty, fy, dy = stx, fx, dx
-        stx, fx, dx = stp, fp, dp
-    return step, stx, fx, dx, sty, fy, dy, brackt
-
-
-def _next_step(state, f, g):
-    """The next trial step of one row's line search that neither converged
-    nor stalled at step state[_STP] (f and slope g there): MINPACK-2's
-    dcsrch after its tests. Returns the row's new state, or None where
-    a division by zero leaves no step (the Fortran code goes on with a
-    NaN step there).
-    """
-    stp, f0, g0, stx, fx, gx, sty, fy, gy, stmin, stmax, width, width1, brackt, stage2 = state
-    gtest = LS_FTOL * g0
-    ftest = f0 + stp * gtest
-    stage2 = stage2 or (f <= ftest and g >= 0.0)
-    # in the first stage, steps are chosen on f less its decrease line
-    shift = gtest if not stage2 and f <= fx and f > ftest else 0.0
-    try:
-        step, stx, fx, gx, sty, fy, gy, brackt = _dcstep(
-            stx, fx - stx * shift, gx - shift, sty, fy - sty * shift, gy - shift,
-            stp, f - stp * shift, g - shift, brackt, stmin, stmax)
-    except ZeroDivisionError:
-        return None
-    fx, fy, gx, gy = fx + stx * shift, fy + sty * shift, gx + shift, gy + shift
-    if brackt:
-        if abs(sty - stx) >= 0.66 * width1:
-            step = stx + 0.5 * (sty - stx)
-        width1, width = width, abs(sty - stx)
-        stmin, stmax = min(stx, sty), max(stx, sty)
-    else:
-        stmin, stmax = step + 1.1 * (step - stx), step + 4.0 * (step - stx)
-    step = min(max(step, 0.0), STEP_MAX)
-    if brackt and (step <= stmin or step >= stmax or stmax - stmin <= LS_XTOL * stmax):
-        step = stx
-    return [step, f0, g0, stx, fx, gx, sty, fy, gy, stmin, stmax, width, width1, brackt, stage2]
-
-
-def _line_search_step(rows, f, g):
-    """One step of Moré and Thuente's line search (MINPACK-2's dcsrch, as
-    L-BFGS-B calls it) for every row in a search.
-
-    f and g are each row's objective and slope along rows.d at its trial
-    step. Returns the rows that take their trial step: the search
-    converged, or can make no more progress. Every other row in a search
-    gets its next step from _next_step.
-    """
-    stp, f0, g0, _, _, _, _, _, _, stmin, stmax = rows.ls.T[:_WIDTH]
-    brackt = rows.ls[:, _BRACKT] > 0.0
-    gtest = LS_FTOL * g0
-    ftest = f0 + stp * gtest
-    done = (rows.line
-            & ((brackt & ((stp <= stmin) | (stp >= stmax) | (stmax - stmin <= LS_XTOL * stmax)))
-               | ((stp == STEP_MAX) & (f <= ftest) & (g <= gtest))
-               | ((stp == 0.0) & ((f > ftest) | (g >= gtest)))
-               | ((f <= ftest) & (np.abs(g) <= -LS_GTOL * g0))))
-    on = (rows.line & ~done).nonzero()[0]
-    if on.size:
-        states = [_next_step(state, fk, gk) for state, fk, gk in
-                  zip(rows.ls[on].tolist(), f[on].tolist(), g[on].tolist())]
-        stuck = np.array([state is None for state in states])
-        done[on[stuck]] = True
-        if not stuck.all():
-            rows.ls[on[~stuck]] = [state for state in states if state is not None]
-    return done
+    stp, f0, g0 = rows.stp, rows.f, rows.g0
+    accept = rows.line & (f <= f0 + LS_FTOL * stp * g0)
+    with np.errstate(all="ignore"):
+        q = -0.5 * g0 * stp * stp / (f - f0 - g0 * stp)
+    q = np.where(np.isfinite(q), np.clip(q, 0.1 * stp, 0.5 * stp), 0.5 * stp)
+    rows.stp = np.where(rows.line & ~accept, q, stp)
+    return accept
 
 
 def _directions(rows, turn, new, s, y):
@@ -365,7 +256,8 @@ def _directions(rows, turn, new, s, y):
     scaling gamma = s.y / y.y of its newest pair, in the compact form of
     Byrd, Nocedal and Schnabel (1994): H g = gamma g + S a - gamma Y b,
     with b = R^-1 S'g, a = R^-T (D b + gamma (Y'Y b - Y'g)), R the upper
-    triangle of S'Y and D its diagonal. A row with no pairs gets -g.
+    triangle of S'Y and D its diagonal. rows.scale keeps each row's last
+    gamma (1 before its first pair): a row with no pairs gets -scale g.
 
     rows.W keeps each row's s vectors in its first MEMORY slots and its
     y vectors in the others, in turn. rows.D, rows.YY (y_k . y_l) and
@@ -409,7 +301,7 @@ def _directions(rows, turn, new, s, y):
         rows.Rinv[new, :, pos] = column
 
     gamma = np.divide(rows.D[r[:, 0], newest], rows.YY[r[:, 0], newest, newest],
-                      out=np.ones(len(r)), where=rows.count > 0)
+                      out=rows.scale, where=rows.count > 0)
     sg = np.where(kept, sp[:, :, 0], 0.0)[:, :, None]
     yg = np.where(kept, yp[:, :, 0], 0.0)[:, :, None]
     b = np.matmul(rows.Rinv, sg)
@@ -427,12 +319,12 @@ def _al_iterate(net, X, starts, I, J, stats=None):
     last iterate of each row and its logits.
 
     Each row runs the outer loop of one multi-start branch: L-BFGS inner
-    solves (L-BFGS-B's direction, line search and stopping tests, with
-    no bounds) of the objective with its own multiplier lam and penalty
-    mu, then the multiplier update. Rows are not in lockstep: each round
-    evaluates every running row's trial point in one _al_objective call,
-    and a row that ends an inner solve takes its outer update while the
-    others go on.
+    solves (L-BFGS-B's direction and stopping tests, with no bounds, and
+    a backtracking line search) of the objective with its own multiplier
+    lam and penalty mu, then the multiplier update. Rows are not in
+    lockstep: each round evaluates every running row's trial point in one
+    _al_objective call, and a row that ends an inner solve takes its
+    outer update while the others go on.
     """
     n, dim = starts.shape
     zeros, falses = np.zeros(n), np.zeros(n, dtype=bool)
@@ -449,8 +341,10 @@ def _al_iterate(net, X, starts, I, J, stats=None):
         W=np.zeros((n, 2 * MEMORY, dim)), D=np.zeros((n, MEMORY)),
         YY=np.zeros((n, MEMORY, MEMORY)), Rinv=np.zeros((n, MEMORY, MEMORY)),
         count=np.zeros(n, dtype=np.int64), next=np.zeros(n, dtype=np.int64),
-        # the search direction, the line search's evaluations and its state
-        d=np.zeros((n, dim)), nls=np.zeros(n, dtype=np.int64), ls=np.zeros((n, 15)),
+        scale=np.ones(n),
+        # the search direction, the slope along it at step 0, the trial
+        # step and the line search's evaluations
+        d=np.zeros((n, dim)), g0=zeros.copy(), stp=zeros.copy(), nls=np.zeros(n, dtype=np.int64),
     )
     P, Z = np.empty((n, dim)), np.empty((n, net.class_count))
     eps = np.finfo(float).eps
@@ -460,7 +354,8 @@ def _al_iterate(net, X, starts, I, J, stats=None):
             stats.evaluations += 1
             stats.rows += rows.id.size
         gd = (g * rows.d).sum(axis=1)
-        accept = _line_search_step(rows, f, gd)
+        stp = rows.stp  # the trial step; _backtrack sets the next one
+        accept = _backtrack(rows, f)
         failed = rows.line & ~accept & (rows.nls >= LS_EVALS)
         rows.nls += 1
         first = ~rows.line
@@ -468,8 +363,7 @@ def _al_iterate(net, X, starts, I, J, stats=None):
         rows.prev_h[fresh] = np.abs(z[fresh, rows.i[fresh]] - z[fresh, rows.j[fresh]])
 
         # curvature pair of an accepted step, kept when s.y is positive
-        stp, g0 = rows.ls[:, _STP], rows.ls[:, _G0]
-        pair = accept & ((gd - g0) * stp > eps * (-g0 * stp))
+        pair = accept & ((gd - rows.g0) * stp > eps * (-rows.g0 * stp))
         s_new = stp[pair, None] * rows.d[pair]
         y_new = g[pair] - rows.g[pair]
         f_old = rows.f
@@ -486,7 +380,7 @@ def _al_iterate(net, X, starts, I, J, stats=None):
         ended |= accept & ((rows.it >= INNER_MAXITER)
                            | (f_old - f <= INNER_FTOL * np.maximum(
                                np.maximum(np.abs(f_old), np.abs(f)), 1.0)))
-        # a failed line search restarts once from steepest descent
+        # a failed line search restarts once from scaled steepest descent
         ended |= failed & (rows.count == 0)
         rows.count[failed] = 0
         keep = ~ended[pair]
@@ -501,20 +395,16 @@ def _al_iterate(net, X, starts, I, J, stats=None):
             g0[retry] = -(d[retry] * d[retry]).sum(axis=1)
             ended[turn[uphill & ~retry]] = True
             d, g0, turn = d[~uphill | retry], g0[~uphill | retry], turn[~uphill | retry]
-        # a new line search from step 1, or from a unit step on an inner
-        # solve's first iteration
-        rows.d[turn] = d
-        start = np.where(rows.it[turn] == 0,
-                         np.minimum(1.0 / np.sqrt((d * d).sum(axis=1)), STEP_MAX), 1.0)
+        # a new line search from step 1, or from a step of length 1 on a
+        # row's first iteration; backtracking cannot lengthen a step, so a
+        # later inner solve starts from -scale g with step 1 instead
+        rows.d[turn], rows.g0[turn] = d, g0
+        first_iter = (rows.it[turn] == 0) & (rows.outer[turn] == 0)
+        rows.stp[turn] = np.where(
+            first_iter, np.minimum(1.0 / np.sqrt((d * d).sum(axis=1)), STEP_MAX), 1.0)
         rows.line[turn] = True
         rows.nls[turn] = 1
-        state = np.zeros((turn.size, 15))
-        state[:, [_F0, _FX, _FY]] = rows.f[turn, None]
-        state[:, [_G0, _GX, _GY]] = g0[:, None]
-        state[:, _STP], state[:, _STMAX] = start, 5.0 * start
-        state[:, _WIDTH], state[:, _WIDTH1] = STEP_MAX, 2.0 * STEP_MAX
-        rows.ls[turn] = state
-        rows.t = rows.p + rows.ls[:, _STP, None] * rows.d
+        rows.t = rows.p + rows.stp[:, None] * rows.d
 
         # outer update of the rows whose inner solve ended
         e = ended.nonzero()[0]

@@ -73,6 +73,7 @@ def region_report(net, features, labels, class_id, max_points=0, seed=0):
     point, and any other value must be at least 2.
     """
     check_count("max_points", max_points, 0)
+    check_count("seed", seed, 0)
     if max_points == 1:
         raise InvalidParameterError(f"max_points must be 0 or >= 2, got {max_points}")
     features = np.asarray(features, dtype=np.float64)

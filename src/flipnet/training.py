@@ -35,6 +35,7 @@ class TrainConfig:
             raise InvalidParameterError("dropout_rate must be in [0, 1)")
         check_count("epochs", self.epochs, 0)
         check_count("batch_size", self.batch_size, 1)
+        check_count("seed", self.seed, 0)
 
 
 @dataclass
@@ -48,6 +49,7 @@ def init_network(layer_sizes, seed=0):
     """Scaled-uniform init, range +-sqrt(6 / (n_in + n_out)), every sigma 1."""
     for n in layer_sizes:
         check_count("layer size", n, 1)
+    check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     layers = []
     for n_in, n_out in zip(layer_sizes, layer_sizes[1:]):

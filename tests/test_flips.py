@@ -353,21 +353,35 @@ class TestBatchedSolve:
             assert a.status == b.status
             assert a.distance == pytest.approx(b.distance, rel=1e-9, abs=0)
 
-    def test_line_search_without_a_step_takes_its_trial_step(self):
-        # a trial step equal to the interval's best step leaves dcstep no
-        # cubic (a division by zero): the row takes its trial step
-        state = np.zeros((2, 15))
-        state[:, flips._STP] = state[:, flips._STX] = 1.0
-        state[:, flips._G0] = state[:, flips._GX] = state[:, flips._GY] = -1.0
-        state[:, flips._STMAX] = 5.0
-        state[1, flips._STX] = 0.0  # the other row has a step to take
-        rows = flips._Rows(line=np.ones(2, dtype=bool), ls=state.copy())
-        done = flips._line_search_step(rows, np.array([1.0, 1.0]), np.array([1.0, 1.0]))
-        assert done.tolist() == [True, False]
-        np.testing.assert_array_equal(rows.ls[0], state[0])
-        assert 0.0 < rows.ls[1, flips._STP] < 1.0 and rows.ls[1, flips._BRACKT] == 1.0
-        rows = flips._Rows(line=np.ones(1, dtype=bool), ls=state[:1].copy())
-        assert flips._line_search_step(rows, np.array([1.0]), np.array([1.0])).tolist() == [True]
+    def test_backtrack_accepts_or_cuts_each_row_in_a_search(self):
+        # rows: Armijo holds; the quadratic's minimizer (0.25) lies in
+        # [0.1, 0.5] stp; it lies below 0.1 stp and is clipped; the
+        # quadratic's denominator f - f0 - g0 stp is 0; the last row is
+        # not in a search and keeps its step whatever f is
+        rows = flips._Rows(line=np.array([True, True, True, True, False]), stp=np.ones(5),
+                           f=np.zeros(5), g0=np.array([-1.0, -1.0, -1.0, 1.0, -1.0]))
+        f = np.array([-0.5, 1.0, 100.0, 1.0, 1.0])
+        accept = flips._backtrack(rows, f)
+        assert accept.tolist() == [True, False, False, False, False]
+        assert rows.stp.tolist() == [1.0, 0.25, 0.1, 0.5, 1.0]
+        # the cut is relative to the trial step
+        rows = flips._Rows(line=np.array([True]), stp=np.array([4.0]), f=np.zeros(1),
+                           g0=np.array([-1.0]))
+        assert not flips._backtrack(rows, np.array([4.0]))[0]
+        assert rows.stp.tolist() == [1.0]
+
+    def test_linear_models_take_few_evaluations(self):
+        # the solver's work on criterion 2's first 200 linear models: a
+        # line search that cannot lengthen a step from a later inner
+        # solve's 1/||g|| start took about 30 evaluations a query here
+        rng = np.random.default_rng(202)
+        stats = flips.SolverStats()
+        for _ in range(200):
+            dim = int(rng.integers(2, 51))
+            net = make_linear_net(rng, dim)
+            flips.closest_flips(net, [rng.standard_normal(dim)], [(0, 1)],
+                                SolveOptions(restarts=0), stats)
+        assert stats.evaluations / 200 <= 15
 
     def test_empty_batch(self, rng):
         net = make_linear_net(rng, 3)
@@ -388,8 +402,10 @@ class TestBatchedSolve:
             return getattr(flips, entry)(net, X, pairs, FAST)
 
         X = rng.standard_normal((3, 3))
+        # ragged pairs and three-class tuples are malformed too
         for bad_X, pairs in [(X, [(0, 1)]), (X, [(0, 1)] * 5), (X[0], [(0, 1)] * 3),
-                             (X[None], [(0, 1)] * 3)]:
+                             (X[None], [(0, 1)] * 3), (X[:2], [(0, 1), (1,)]),
+                             (X[:2], [(0, 1, 0), (1, 0, 1)])]:
             with pytest.raises(ShapeError):
                 call(bad_X, pairs)
         if entry == "flip_along_directions":
