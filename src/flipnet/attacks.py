@@ -209,8 +209,7 @@ def compare_attack_vs_flip(net, x, attack, flip):
     x = np.asarray(x, dtype=np.float64)
     first_crossing = float("nan")
     if attack.succeeded and attack.distance > 0:
-        seg = LineSegment(x, attack.point, 0.0, 1.0)
-        crossings = count_crossings(net, seg)
+        crossings = count_crossings(net, [LineSegment(x, attack.point)])[0]
         if crossings:
             first_crossing = min(crossings) * attack.distance
     angle = angle_degrees(flip.point - x, attack.point - x)

@@ -159,20 +159,16 @@ def _make_results(X, P, I, J, Z):
                                              eq.tolist(), margin.tolist(), converged)]
 
 
-def _tangent_polish(net, x, p, i, j, iters=30):
-    """Gauss-Newton refinement of the foot of the perpendicular from x.
+def _tangent_polish(net, X, P, I, J, iters=30):
+    """Gauss-Newton refinement of the foot of the perpendicular from each row of X.
 
     Repeatedly projects x onto the linearization of the boundary at the
     current iterate; exact in one step for linear models, and removes
-    the inner solver's tangential drift otherwise. x and p are [..., d]
-    stacks of equal shape with pairs (i, j) broadcast over their rows;
-    every step is one forward pass and one VJP over the rows still
-    moving, and each row stops on its own.
+    the inner solver's tangential drift otherwise. X and P are [n, d]
+    arrays and (I, J) each row's pair; every step is one forward pass
+    and one VJP over the rows still moving, and each row stops on its own.
     """
-    X = np.asarray(x, dtype=np.float64).reshape(-1, np.shape(x)[-1])
-    Q = np.array(p, dtype=np.float64).reshape(X.shape)
-    I, J = np.broadcast_to(i, len(Q)), np.broadcast_to(j, len(Q))
-    live = np.arange(len(Q))
+    Q, live = P.copy(), np.arange(len(P))
     for _ in range(iters):
         if not live.size:
             break
@@ -186,7 +182,7 @@ def _tangent_polish(net, x, p, i, j, iters=30):
         step = np.linalg.norm(q_new - q, axis=1)
         settled = step <= 1e-14 * np.maximum(1.0, np.linalg.norm(q_new, axis=1))
         live = live[moves & ~settled]
-    return Q.reshape(np.shape(p))
+    return Q
 
 
 def _gaps_and_violations(z, i, j):
@@ -368,11 +364,8 @@ def _al_iterate(net, X, starts, I, J, stats=None):
         y_new = g[pair] - rows.g[pair]
         f_old = rows.f
         moved = first | accept
-        if moved.all():
-            rows.p, rows.f, rows.g, rows.z = rows.t, f, g, z
-        else:
-            rows.f = np.where(moved, f, f_old)
-            rows.p[moved], rows.g[moved], rows.z[moved] = rows.t[moved], g[moved], z[moved]
+        rows.f = np.where(moved, f, f_old)
+        rows.p[moved], rows.g[moved], rows.z[moved] = rows.t[moved], g[moved], z[moved]
         rows.it += accept
 
         # the inner solve's stopping tests

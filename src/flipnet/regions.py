@@ -41,17 +41,13 @@ def build_adjacency(net, points, class_id):
     preds = np.argmax(logits, axis=1)
     bad = np.nonzero(preds != class_id)[0]
     if bad.size:
-        raise InvalidInputError(
-            f"point {bad[0]} is classified as {preds[bad[0]]}, not {class_id}"
-        )
+        raise InvalidInputError(f"point {bad[0]} is classified as {preds[bad[0]]}, not {class_id}")
     n = points.shape[0]
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if (np.array_equal(points[u], points[v])
-                    or not count_crossings(net, LineSegment(points[u], points[v], 0.0, 1.0))):
-                edges.append((u, v))
-    return AdjacencyGraph(n_nodes=n, edges=edges)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    apart = [(u, v) for u, v in pairs if not np.array_equal(points[u], points[v])]
+    found = count_crossings(net, [LineSegment(points[u], points[v]) for u, v in apart])
+    crossed = {pair for pair, alphas in zip(apart, found) if alphas}
+    return AdjacencyGraph(n_nodes=n, edges=[pair for pair in pairs if pair not in crossed])
 
 
 def connected_components(graph):
@@ -90,12 +86,11 @@ def region_report(net, features, labels, class_id, max_points=0, seed=0):
         )
     graph = build_adjacency(net, features[keep], class_id)
     n = graph.n_nodes
-    total_pairs = n * (n - 1) // 2
     count, sizes, _ = connected_components(graph)
     degrees = np.bincount(np.array(graph.edges, dtype=np.int64).ravel(), minlength=n)
     min_node = int(np.argmin(degrees))
     return RegionReport(
-        fraction_direct=len(graph.edges) / total_pairs,
+        fraction_direct=len(graph.edges) / (n * (n - 1) // 2),
         component_count=count,
         component_sizes=sizes,
         min_degree_node=(min_node, int(degrees[min_node])),

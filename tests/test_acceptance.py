@@ -269,7 +269,7 @@ def test_criterion_06_directional_ratio():
     _report(6, ok,
             f"{len(ratios)} converged queries of 500: {violations} ratios below "
             f"1-1e-9, mean directional ratio {mean_ratio:.4f} "
-            f"(informative, expected ~[1.0, 1.5]), {dt:.0f}s (<120s)")
+            f"(informative, not gated), {dt:.0f}s (<120s)")
 
 
 def test_criterion_07_adversarial_contracts():
@@ -322,7 +322,7 @@ def test_criterion_07_adversarial_contracts():
                     large_successes += 1
                 if res.distance > 0:
                     seg = LineSegment(x, res.point)
-                    crossing_ok = crossing_ok and len(count_crossings(net, seg)) >= 1
+                    crossing_ok = crossing_ok and len(count_crossings(net, [seg])[0]) >= 1
     dt = time.perf_counter() - t0
     ok = (feasible and crossing_ok and small_successes == 0
           and large_successes >= 95 and dt < 120)

@@ -117,7 +117,7 @@ class TestConstrainedLossAttack:
             if res.succeeded and res.distance > 0:
                 successes += 1
                 seg = LineSegment(x, res.point)
-                assert len(count_crossings(net, seg)) >= 1
+                assert len(count_crossings(net, [seg])[0]) >= 1
         assert successes > 0
 
     def test_target_out_of_range(self, rng):

@@ -245,12 +245,12 @@ class TestClosestFlip:
 
     def test_one_pass_per_tangent_polish_iteration(self, rng, monkeypatch):
         net = make_random_net(rng, [3, 6, 2])
-        x = rng.standard_normal(3)
-        p = x + rng.standard_normal(3)
+        x = rng.standard_normal((1, 3))
+        p = x + rng.standard_normal((1, 3))
         counter = PassCounter(monkeypatch)
         for iters in (1, 2, 3):
             counter.forward = counter.vjp = 0
-            flips._tangent_polish(net, x, p, 0, 1, iters=iters)
+            flips._tangent_polish(net, x, p, np.array([0]), np.array([1]), iters=iters)
             assert (counter.forward, counter.vjp) == (iters, iters)
 
 

@@ -18,7 +18,7 @@ from flipnet import (
 from flipnet import paths
 from flipnet.errors import FlipnetError, InvalidInputError, InvalidParameterError, ShapeError
 from flipnet.network import activation_erf_deriv, lipschitz_bound, logits_batch, spectral_norm
-from flipnet.paths import _cell_slopes
+from flipnet.paths import _cell_slopes, _input_slopes, bracketed_roots
 from conftest import dense_crossing_count, make_bump_net, make_linear_net, make_random_net
 
 
@@ -86,7 +86,7 @@ class TestSampleLine:
             x1 = -x1 - 2 * c * w / (w @ w)
         x2 = x1 - 2 * (w @ x1 + c) / (w @ w) * w * 1.5
         seg = LineSegment(x1, x2)
-        crossings = count_crossings(net, seg)
+        crossings = count_crossings(net, [seg])[0]
         alpha_star = -(w @ x1 + c) / (w @ (x2 - x1))
         assert len(crossings) == 1
         assert crossings[0] == pytest.approx(alpha_star, abs=1e-8)
@@ -101,7 +101,7 @@ class TestSampleLine:
         u = w / np.linalg.norm(w)
         x1, x2 = on + 1.5e-5 * u, on - 3.5e-5 * u
         alpha_star = -(w @ x1 + c) / (w @ (x2 - x1))
-        crossings = count_crossings(net, LineSegment(x1, x2))
+        crossings = count_crossings(net, [LineSegment(x1, x2)])[0]
         assert len(crossings) == 1
         assert crossings[0] == pytest.approx(alpha_star, abs=1e-8)
 
@@ -162,7 +162,8 @@ class TestSampleLine:
             seg = LineSegment(rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 3), -0.5, 1.5)
             edges = np.linspace(seg.alpha_min, seg.alpha_max, 17)
             bounds = _cell_slopes(net, seg, edges)
-            assert np.all(bounds <= lipschitz_bound(net) * seg.length * (1 + 1e-12))
+            length = np.linalg.norm(seg.x2 - seg.x1)
+            assert np.all(bounds <= lipschitz_bound(net) * length * (1 + 1e-12))
             for lo, hi, bound in zip(edges[:-1], edges[1:], bounds):
                 a = np.linspace(lo, hi, 201)
                 z = logits_batch(net, (1.0 - a)[:, None] * seg.x1 + a[:, None] * seg.x2)
@@ -196,7 +197,8 @@ class TestSampleLine:
             include = (1.0, 0.3 + rng.uniform())
             profile = sample_line(net, seg, include=include)
             span = seg.alpha_max - seg.alpha_min
-            n_global = max(int(np.ceil(span * lipschitz_bound(net) * seg.length / 0.01)) + 1, 2)
+            length = np.linalg.norm(seg.x2 - seg.x1)
+            n_global = max(int(np.ceil(span * lipschitz_bound(net) * length / 0.01)) + 1, 2)
             assert len(profile.alphas) <= n_global + len(include)
 
     def test_peak_memory_bounded_on_long_segment(self):
@@ -220,7 +222,7 @@ class TestCountCrossings:
         X = rng.standard_normal((2, 3))
         for x1, x2 in [(X, X + 1.0), (X[0], X + 1.0), (np.float64(0.0), np.float64(1.0))]:
             with pytest.raises(ShapeError, match="1-D"):
-                count_crossings(net, LineSegment(x1, x2))
+                count_crossings(net, [LineSegment(x1, x2)])
 
     def test_same_class_endpoints_linear(self, rng):
         net = make_linear_net(rng, 3)
@@ -232,13 +234,13 @@ class TestCountCrossings:
         if np.sign(w @ x2 + c) != np.sign(g1):
             x2 = x1
             x2 = x1 + 1e-6 * np.sign(g1) * w
-        assert count_crossings(net, LineSegment(x1, x2)) == []
+        assert count_crossings(net, [LineSegment(x1, x2)])[0] == []
 
     def test_bump_net_two_crossings(self):
         net = make_bump_net(width=1.0, sharpness=0.1)
         x1 = np.array([-3.0, 0.0])
         x2 = np.array([3.0, 0.0])
-        crossings = count_crossings(net, LineSegment(x1, x2))
+        crossings = count_crossings(net, [LineSegment(x1, x2)])[0]
         assert len(crossings) == 2
         assert dense_crossing_count(net, x1, x2) == 2
 
@@ -249,7 +251,7 @@ class TestCountCrossings:
             x2 = rng.uniform(-2, 2, 2)
             if np.array_equal(x1, x2):
                 continue
-            found = count_crossings(net, LineSegment(x1, x2))
+            found = count_crossings(net, [LineSegment(x1, x2)])[0]
             assert len(found) == dense_crossing_count(net, x1, x2)
 
     @pytest.mark.parametrize("peak", [1e-4, 1e-5])
@@ -261,7 +263,7 @@ class TestCountCrossings:
         for _ in range(50):
             x1 = np.array([rng.uniform(-3, -1), rng.uniform(-2, 2)])
             x2 = np.array([rng.uniform(1, 3), rng.uniform(-2, 2)])
-            assert len(count_crossings(net, LineSegment(x1, x2))) == 2
+            assert len(count_crossings(net, [LineSegment(x1, x2)])[0]) == 2
 
     @pytest.mark.parametrize("classes", [3, 4])
     def test_multiclass_counts_match_dense_oracle(self, rng, classes):
@@ -269,7 +271,7 @@ class TestCountCrossings:
             net = make_random_net(rng, [2, 8, classes], scale=1.5)
             for _ in range(25):
                 x1, x2 = rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2)
-                found = count_crossings(net, LineSegment(x1, x2))
+                found = count_crossings(net, [LineSegment(x1, x2)])[0]
                 assert len(found) == dense_crossing_count(net, x1, x2)
 
     @pytest.mark.parametrize("x1, x2", [(-1.0, 1.0), (1.0, -1.0)],
@@ -277,7 +279,7 @@ class TestCountCrossings:
     def test_exact_tie_at_cell_end_counted_once(self, x1, x2):
         # z_0 - z_1 = 2x is exactly zero at alpha 0.5, an end of two cells
         net = Network([Layer(np.array([[1.0], [-1.0]]), np.zeros(2), 1.0)])
-        assert count_crossings(net, LineSegment([x1], [x2])) == [0.5]
+        assert count_crossings(net, [LineSegment([x1], [x2])])[0] == [0.5]
 
     def test_identical_output_rows_bounded(self, rng):
         # the gap of two identical rows is zero everywhere, and so is its slope
@@ -286,14 +288,14 @@ class TestCountCrossings:
             net = make_random_net(rng, [2, 6, 2], scale=1.5)
             net.layers[-1].weights[1] = net.layers[-1].weights[0]
             net.layers[-1].bias[1] = net.layers[-1].bias[0]
-            assert count_crossings(net, LineSegment(rng.standard_normal(2),
-                                                    rng.standard_normal(2))) == []
+            assert count_crossings(net, [LineSegment(rng.standard_normal(2),
+                                                     rng.standard_normal(2))])[0] == []
             net = make_random_net(rng, [2, 6, 3], scale=1.5)
             net.layers[-1].weights[2] = net.layers[-1].weights[1]
             net.layers[-1].bias[2] = net.layers[-1].bias[1]
             for _ in range(10):
                 x1, x2 = rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2)
-                found = count_crossings(net, LineSegment(x1, x2))
+                found = count_crossings(net, [LineSegment(x1, x2)])[0]
                 assert len(found) == dense_crossing_count(net, x1, x2, step=1e-3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -306,7 +308,7 @@ class TestCountCrossings:
         monkeypatch.setattr(paths, limit, 1)
         net = make_bump_net(width=0.05, sharpness=0.01)
         with pytest.raises(FlipnetError, match="undecided"):
-            count_crossings(net, LineSegment([-0.1, 0.0], [1.5, 0.0]))
+            count_crossings(net, [LineSegment([-0.1, 0.0], [1.5, 0.0])])
 
     def test_refined_crossing_residual(self, rng):
         net = make_random_net(rng, [2, 6, 2], scale=1.5)
@@ -314,7 +316,7 @@ class TestCountCrossings:
         for _ in range(20):
             x1, x2 = rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2)
             seg = LineSegment(x1, x2)
-            for alpha in count_crossings(net, seg):
+            for alpha in count_crossings(net, [seg])[0]:
                 z = logits_batch(net, seg.at(alpha)[None, :])[0]
                 top = np.argsort(z)[::-1]
                 scale = max(1.0, np.max(np.abs(z)))
@@ -337,12 +339,134 @@ class TestCountCrossings:
 
         monkeypatch.setattr(paths, "find_root", counted)
         seg = LineSegment([-5.0, 0.3], [5.0, -0.2])
-        found = count_crossings(net, seg)
+        found = count_crossings(net, [seg])[0]
         assert len(found) == dense_crossing_count(net, seg.x1, seg.x2, step=1e-3) == 6
         assert calls == [6]
         for alpha in found:
             z = logits_batch(net, seg.at(alpha)[None, :])[0]
             assert abs(z[0] - z[1]) <= 1e-8 * max(1.0, np.max(np.abs(z)))
+
+
+def mixed_stack(rng, net, count):
+    """count segments of net's input dimension with mixed alpha ranges."""
+    dim, ranges = net.input_dim, [(0.0, 1.0), (-0.5, 1.5), (0.25, 0.75), (-2.0, 3.0)]
+    return [LineSegment(rng.uniform(-2, 2, dim), rng.uniform(-2, 2, dim), *ranges[s % 4])
+            for s in range(count)]
+
+
+def tie_net_stack():
+    """A 3-class net on x whose top two logits tie exactly at x = 0 and x = 0.5,
+    with segments that put those ties on cell ends, and the crossings expected."""
+    net = Network([Layer(np.array([[2.0], [-2.0], [4.0]]), np.array([0.0, 0.0, -1.0]), 1.0)])
+    cases = [(LineSegment([-1.0], [1.0]), [0.5, 0.75]), (LineSegment([1.0], [-1.0]), [0.25, 0.5]),
+             (LineSegment([-1.0], [1.0], -1.0, 2.0), [0.5, 0.75]),
+             (LineSegment([-1.0], [0.0]), [1.0]), (LineSegment([0.0], [-1.0]), [0.0])]
+    return net, [seg for seg, _ in cases] * 4, [want for _, want in cases]
+
+
+class TestStackedCrossings:
+    @pytest.mark.parametrize("kind", ["2-class", "3-class", "4-class", "identical-rows", "tie"])
+    def test_mixed_stack_matches_oracle_and_stack_of_one(self, rng, kind):
+        if kind == "tie":
+            net, segs, want = tie_net_stack()
+        else:
+            classes = {"2-class": 2, "3-class": 3, "4-class": 4, "identical-rows": 3}[kind]
+            net = make_random_net(rng, [2, 8, classes], scale=1.5)
+            if kind == "identical-rows":
+                net.layers[-1].weights[2] = net.layers[-1].weights[1]
+                net.layers[-1].bias[2] = net.layers[-1].bias[1]
+            segs = mixed_stack(rng, net, 2 * paths.SEGMENTS + 5)
+        stacked = count_crossings(net, segs)
+        assert len(stacked) == len(segs)
+        for seg, found in zip(segs, stacked):
+            ends = seg.at(seg.alpha_min), seg.at(seg.alpha_max)
+            assert len(found) == dense_crossing_count(net, *ends, step=1e-4)
+            assert found == sorted(found)
+            alone = count_crossings(net, [seg])[0]
+            np.testing.assert_allclose(found, alone, rtol=1e-12, atol=0)
+        if kind == "tie":
+            for found, alphas in zip(stacked, want):
+                np.testing.assert_allclose(found, alphas, rtol=0, atol=1e-12)
+        assert count_crossings(net, []) == []
+
+    def test_stacked_slopes_equal_each_segments_own(self, rng):
+        # on a one-hidden-layer net the input slopes use only W_1 @ step and
+        # W_1 @ x1, which the stacked matmul rounds as each segment alone
+        net = make_random_net(rng, [5, 7, 2], scale=1.5)
+        segs = mixed_stack(rng, net, 6)
+        x1 = np.array([s.x1 for s in segs])
+        step = np.array([s.x2 - s.x1 for s in segs])
+        seg = rng.integers(0, len(segs), 40)
+        lo = rng.uniform(-1, 1, 40)
+        hi = lo + rng.uniform(0, 1, 40)
+        stacked = _input_slopes(net, x1, step, seg, lo, hi)
+        for s in range(len(segs)):
+            own = _input_slopes(net, x1[s:s + 1], step[s:s + 1], np.zeros(np.sum(seg == s), int),
+                                lo[seg == s], hi[seg == s])
+            for a, b in zip(stacked, own):
+                assert np.array_equal(a[seg == s], b)
+
+    def test_forward_passes_grow_with_stacks_not_segments(self, monkeypatch):
+        # copies of one segment across the slab need the same rounds and
+        # refinement steps, so each stack of SEGMENTS of them costs the
+        # passes of one segment alone, with rows in proportion
+        net = make_bump_net(width=0.5, sharpness=0.2)
+        seg = LineSegment([-2.0, 0.3], [2.0, -0.1])
+        calls, forward_batch = [], paths.forward_batch
+
+        def recorded(net, X):
+            calls.append(len(X))
+            return forward_batch(net, X)
+
+        monkeypatch.setattr(paths, "forward_batch", recorded)
+
+        def passes(count):
+            calls.clear()
+            found = count_crossings(net, [seg] * count)
+            assert all(len(alphas) == 2 for alphas in found)
+            return len(calls), sum(calls)
+
+        one = passes(1)
+        assert one[0] > 2
+        for count in (paths.SEGMENTS, paths.SEGMENTS + 1, 2 * paths.SEGMENTS, 5 * paths.SEGMENTS):
+            stacks = -(-count // paths.SEGMENTS)
+            assert passes(count) == (stacks * one[0], count * one[1])
+
+    def test_many_segments_memory_bounded(self):
+        rng = np.random.default_rng(3)
+        net = make_random_net(rng, [20, 512, 2], scale=0.1, sigma_range=(1.0, 1.0))
+        segs = [LineSegment(rng.standard_normal(20), rng.standard_normal(20))
+                for _ in range(2000)]
+        tracemalloc.start()
+        try:
+            found = count_crossings(net, segs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(found) == 2000 and sum(map(len, found)) > 0
+        assert peak < 16 * 2**20
+
+
+class TestBracketedRoots:
+    def test_find_root_evaluates_lower_then_upper_end_first(self, monkeypatch):
+        # bracketed_roots hands find_root's first two calls the end values
+        calls, find_root = [], paths.find_root
+
+        def recorded(f, init, args=(), **kwargs):
+            def g(x, *a):
+                calls.append((np.array(x), *(np.array(v) for v in a)))
+                return f(x, *a)
+            return find_root(g, init, args=args, **kwargs)
+
+        monkeypatch.setattr(paths, "find_root", recorded)
+        lo, hi = np.array([-1.0, 0.25, 2.0]), np.array([2.0, 3.0, 5.0])
+        roots = np.array([0.5, 1.0, 4.0])
+        found = bracketed_roots(lambda t, rows: roots[rows] - t, lo, hi, roots - lo, roots - hi)
+        np.testing.assert_allclose(found, roots, rtol=1e-12)
+        scale = np.maximum(1.0, np.abs(hi))
+        for (x, rows), end in zip(calls[:2], (lo, hi)):
+            np.testing.assert_array_equal(x, end / scale)
+            np.testing.assert_array_equal(rows, np.arange(3))
 
 
 class TestProfileToFlip:

@@ -9,9 +9,10 @@ from flipnet import (
     count_crossings,
     region_report,
 )
+from flipnet import regions
 from flipnet.errors import InvalidInputError, InvalidParameterError
 from flipnet.network import logits_batch
-from conftest import make_bump_net, make_linear_net
+from conftest import dense_crossing_count, make_bump_net, make_linear_net, make_random_net
 
 
 def transitive_closure_components(n, edges):
@@ -77,6 +78,36 @@ class TestBuildAdjacency:
         with pytest.raises(InvalidInputError):
             build_adjacency(net, p[None, :], 1 - cls)
 
+    @pytest.mark.parametrize("classes", [2, 3])
+    def test_matches_dense_labelling_of_every_pair(self, rng, classes):
+        # a 2-D net's pairs, many more than one stack of segments, with one
+        # repeated point; an edge wherever a dense labelling sees no change
+        net = make_random_net(rng, [2, 8, classes], scale=1.5)
+        pts = rng.uniform(-2, 2, (200, 2))
+        cls = np.argmax(logits_batch(net, pts), axis=1)
+        pts = pts[cls == np.bincount(cls).argmax()][:14]
+        pts = np.vstack([pts, pts[3]])
+        graph = build_adjacency(net, pts, np.bincount(cls).argmax())
+        n = len(pts)
+        want = [(u, v) for u in range(n) for v in range(u + 1, n)
+                if dense_crossing_count(net, pts[u], pts[v], step=1e-4) == 0]
+        assert graph.edges == want
+        assert (3, n - 1) in graph.edges and 0 < len(want) < n * (n - 1) // 2
+
+    def test_one_crossing_call_for_all_pairs(self, monkeypatch):
+        calls = []
+
+        def recorded(net, segs):
+            calls.append(len(segs))
+            return count_crossings(net, segs)
+
+        monkeypatch.setattr(regions, "count_crossings", recorded)
+        net = make_bump_net(width=1.0, sharpness=0.1)
+        pts = np.array([[-3.0, 0.0], [-2.0, 0.5], [3.0, 0.0], [-3.0, 0.0], [2.5, 1.0]])
+        graph = build_adjacency(net, pts, 1)
+        assert calls == [9]  # 10 pairs, one of them equal points
+        assert graph.edges == [(0, 1), (0, 3), (1, 3), (2, 4)]
+
     def test_segment_reversal_symmetry(self, rng):
         net = make_bump_net(width=0.8, sharpness=0.2)
         for _ in range(200):
@@ -84,8 +115,8 @@ class TestBuildAdjacency:
             x2 = rng.uniform(-3, 3, 2)
             if np.array_equal(x1, x2):
                 continue
-            fwd = len(count_crossings(net, LineSegment(x1, x2)))
-            rev = len(count_crossings(net, LineSegment(x2, x1)))
+            fwd = len(count_crossings(net, [LineSegment(x1, x2)])[0])
+            rev = len(count_crossings(net, [LineSegment(x2, x1)])[0])
             assert fwd == rev
 
 
