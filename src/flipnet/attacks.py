@@ -5,8 +5,9 @@ adversarial label subject to an L2 distance constraint, realized as
 projected gradient descent on the epsilon-ball. constrained_loss_attacks
 runs many attacks as the rows of one iterate array: every (query, radius,
 restart) run is a row, and each step is one forward pass and one reverse
-sweep for all rows, in chunks of at most CHUNK_ROWS rows. A row's last
-bits can depend on which rows share its chunk.
+sweep for all rows, in chunks of at most CHUNK_ROWS rows. The network's
+products run in fixed-shape tiles, so a row's bytes do not depend on
+which rows share its chunk (within one host and BLAS build).
 """
 
 import math
@@ -199,24 +200,25 @@ def constrained_loss_attack(net, x, target, cfg, record_iterates=False):
     return constrained_loss_attacks(net, x[None, :], [target], [cfg], record_iterates)[0]
 
 
-def compare_attack_vs_flip(net, x, attack, flip):
-    """Distances and angle of the attack point vs the closest flip point.
+def compare_attack_vs_flip(net, X, attacks, flips):
+    """Distances and angle of each attack point vs its query's closest flip
+    point: one AdversarialComparison per row of X with its attack and flip.
 
     For a successful attack, the first crossing on the segment x ->
     attack point gives the boundary distance the attack implicitly
-    passed through.
+    passed through; one count_crossings call finds them all.
     """
-    x = np.asarray(x, dtype=np.float64)
-    first_crossing = float("nan")
-    if attack.succeeded and attack.distance > 0:
-        crossings = count_crossings(net, [LineSegment(x, attack.point)])[0]
-        if crossings:
-            first_crossing = min(crossings) * attack.distance
-    angle = angle_degrees(flip.point - x, attack.point - x)
-    return AdversarialComparison(
+    X = np.asarray(X, dtype=np.float64)
+    if not len(X) == len(attacks) == len(flips):
+        raise ShapeError(f"expected one attack and one flip per query, got {len(X)} queries, "
+                         f"{len(attacks)} attacks and {len(flips)} flips")
+    hit = [q for q, attack in enumerate(attacks) if attack.succeeded and attack.distance > 0]
+    found = dict(zip(hit, count_crossings(
+        net, (LineSegment(X[q], attacks[q].point) for q in hit))))
+    return [AdversarialComparison(
         flip_distance=flip.distance,
         attack_distance=attack.distance,
-        segment_first_crossing_distance=first_crossing,
-        angle_deg=angle,
-    )
-
+        segment_first_crossing_distance=(min(found[q]) * attack.distance if found.get(q)
+                                         else float("nan")),
+        angle_deg=angle_degrees(flip.point - x, attack.point - x),
+    ) for q, (x, attack, flip) in enumerate(zip(X, attacks, flips))]

@@ -394,19 +394,14 @@ def cmd_attack(args):
     queries = X[:count]
     preds = np.argmax(network.forward_batch(net, queries)[0], axis=1)
     targets = 1 - preds  # binary pipeline
-    flip_results = [flips.closest_flip(net, x, (int(pred), int(target)), opts)
-                    for x, pred, target in zip(queries, preds, targets)]
+    flip_results = flips.closest_flips(net, queries, np.column_stack([preds, targets]), opts)
     k = len(args.epsilons)
-    results = attacks.constrained_loss_attacks(
-        net, np.repeat(queries, k, axis=0), np.repeat(targets, k), cfgs)
-    rows = []
-    for r, (cfg, res) in enumerate(zip(cfgs, results)):
-        q = r // k
-        flip = flip_results[q]
-        comp = attacks.compare_attack_vs_flip(net, queries[q], res, flip)
-        rows.append((q, cfg.epsilon, int(res.succeeded), comp.attack_distance,
-                     comp.flip_distance, comp.segment_first_crossing_distance,
-                     comp.angle_deg, flip.status))
+    X_rows, flip_rows = np.repeat(queries, k, axis=0), [f for f in flip_results for _ in range(k)]
+    results = attacks.constrained_loss_attacks(net, X_rows, np.repeat(targets, k), cfgs)
+    comps = attacks.compare_attack_vs_flip(net, X_rows, results, flip_rows)
+    rows = [(r // k, cfg.epsilon, int(res.succeeded), comp.attack_distance, comp.flip_distance,
+             comp.segment_first_crossing_distance, comp.angle_deg, flip.status)
+            for r, (cfg, res, comp, flip) in enumerate(zip(cfgs, results, comps, flip_rows))]
     out_path = os.path.join(args.out_dir, "attacks.csv")
     write_csv(out_path,
               ["id", "epsilon", "succeeded", "attack_distance", "flip_distance",

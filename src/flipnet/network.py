@@ -18,6 +18,7 @@ from scipy.special import erf as _erf
 from .errors import InvalidInputError, InvalidParameterError, ShapeError, FormatError
 
 _TWO_OVER_SQRT_PI = 2.0 / np.sqrt(np.pi)
+TILE = 32  # rows per BLAS call of rows_product; of 32, 64 and 128, the fastest on flip
 
 CHECKPOINT_MAGIC = b"FLIPNET1"
 
@@ -119,6 +120,25 @@ def row_norms(D):
     return np.sqrt(np.matmul(D[:, None, :], D[:, :, None])[:, 0, 0])
 
 
+def rows_product(A, B):
+    """A @ B for A [n, k] whose rows are independent items (queries, rays,
+    cells), in blocks of TILE rows: one stacked matmul over the whole
+    blocks, a view of A, then the last block zero-padded, each writing
+    into the result. numpy makes one BLAS call per block, and BLAS picks
+    its kernel and blocking by the operands' shape, so every row's bytes
+    depend on neither n nor its position."""
+    A = np.ascontiguousarray(A, dtype=np.float64)
+    (n, k), m = A.shape, B.shape[1]
+    full = n - n % TILE
+    out = np.empty((full + (TILE if full < n else 0), m))
+    np.matmul(A[:full].reshape(-1, TILE, k), B, out=out[:full].reshape(-1, TILE, m))
+    if full < n:
+        last = np.zeros((TILE, k))
+        last[:n - full] = A[full:]
+        np.matmul(last, B, out=out[full:])
+    return out[:n]
+
+
 def cross_entropy(softmax, labels):
     """-log(softmax[r, labels[r]]) for each row r, clamped at 1e-300; a
     single row [class_count] and one label give a scalar."""
@@ -140,7 +160,7 @@ def forward_batch(net, X, masks=None):
         raise InvalidInputError("input contains non-finite values")
     a, tape = X, []
     for li, layer in enumerate(net.layers):
-        y = a @ layer.weights.T + layer.bias
+        y = rows_product(a, layer.weights.T) + layer.bias
         tape.append((a, y))
         a = y
         if li < len(net.layers) - 1:
@@ -161,7 +181,7 @@ def backward(net, tape, coeffs, masks=None):
                          f"({n}, {net.class_count}), got {coeffs.shape}")
     terms = [np.broadcast_to(coeffs, (n, net.class_count))]
     for li in range(len(net.layers) - 2, -1, -1):
-        g = terms[-1] @ net.layers[li + 1].weights
+        g = rows_product(terms[-1], net.layers[li + 1].weights)
         if masks is not None:
             g *= masks[li]
         g *= activation_erf_deriv(tape[li][1], net.layers[li].sigma)
@@ -172,7 +192,7 @@ def backward(net, tape, coeffs, masks=None):
 def vjp(net, tape, coeffs):
     """Input gradient [n, input_dim] of coeffs . z: backward's first-layer
     term times the first weight matrix."""
-    return backward(net, tape, coeffs)[0] @ net.layers[0].weights
+    return rows_product(backward(net, tape, coeffs)[0], net.layers[0].weights)
 
 
 def forward(net, x):

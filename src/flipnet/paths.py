@@ -6,13 +6,14 @@ samples so that consecutive logits provably differ by at most score_tol.
 """
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 from scipy.optimize.elementwise import find_root
 
 from .errors import FlipnetError, InvalidInputError, InvalidParameterError, ShapeError
-from .network import (activation_erf, activation_erf_deriv, forward_batch, softmax_rows,
-                      spectral_norm)
+from .network import (activation_erf, activation_erf_deriv, forward_batch, rows_product,
+                      softmax_rows, spectral_norm)
 
 SAMPLE_CAP = 1_000_000
 CELLS = 64  # equal alpha cells, each with its own slope bound
@@ -69,9 +70,10 @@ def _logits_at(net, x1, x2, alphas):
 
 
 def _interval_affine(weights, bias, lo, hi):
-    """Interval image of weights @ [lo, hi] + bias: midpoints through W, radii through |W|."""
-    mid = (lo + hi) / 2 @ weights.T + bias
-    rad = (hi - lo) / 2 @ np.abs(weights).T
+    """Interval image of weights @ [lo, hi] + bias, row by row: midpoints through W, radii
+    through |W|."""
+    mid = rows_product((lo + hi) / 2, weights.T) + bias
+    rad = rows_product((hi - lo) / 2, np.abs(weights).T)
     return mid - rad, mid + rad
 
 
@@ -130,8 +132,9 @@ def bracketed_roots(gap, lo, hi, g_lo, g_hi):
     [lo, hi], one per row, where gap is g_lo and g_hi of opposite signs,
     by one find_root call (Chandrupatla's method). Solving in s = t /
     max(1, |hi|) lets scalar tolerances give each bracket a width of
-    1e-12 * max(1, |hi|). The ends are never re-evaluated: in a batch of
-    another shape a tiny end value can round to the other sign."""
+    1e-12 * max(1, |hi|). The ends are never re-evaluated: the callers
+    hold their values, and two more passes would break a ray search's
+    budget of five past its doubling."""
     scale = np.maximum(1.0, np.abs(hi))
     ends = [g_lo, g_hi]  # find_root's first two calls evaluate the ends
     res = find_root(lambda s, rows: ends.pop(0) if ends else gap(s * scale[rows], rows),
@@ -141,26 +144,27 @@ def bracketed_roots(gap, lo, hi, g_lo, g_hi):
 
 
 def count_crossings(net, segs):
-    """One sorted list per LineSegment of segs: the alphas where the top class changes.
+    """One sorted list per LineSegment of the iterable segs: the alphas where the top class changes.
 
     The top class is the argmax, lowest index on ties. Interval bisection
     with a monotonicity test (Moore, 1966) from one cell per segment, on
-    SEGMENTS segments at a time. On a cell with top class c at its left
-    end, gap g_k = z_c - z_k is root-free if monotone and >= 0 at the right
-    end, or if its mean-value lower bound beats a rounding margin. Such a
-    cell holds a crossing only at its right end, where the argmax may not
-    be c; a cell with one other gap, falling monotonically below 0, holds
-    one, refined with the others of its SEGMENTS segments in one
-    bracketed_roots call; the rest are halved. A class repeating an earlier
-    one's output row never leads. Raises FlipnetError past CHUNK_ROWS // 2
-    open cells of a segment in a round or MAX_ROUNDS rounds.
+    SEGMENTS segments at a time, taken from segs as needed. On a cell with
+    top class c at its left end, gap g_k = z_c - z_k is root-free if
+    monotone and >= 0 at the right end, or if its mean-value lower bound
+    beats a rounding margin. Such a cell holds a crossing only at its
+    right end, where the argmax may not be c; a cell with one other gap,
+    falling monotonically below 0, holds one, refined with the others of
+    its SEGMENTS segments in one bracketed_roots call; the rest are
+    halved. A class repeating an earlier one's output row never leads.
+    Raises FlipnetError past CHUNK_ROWS // 2 open cells of a segment in a
+    round or MAX_ROUNDS rounds.
     """
     weights = net.layers[-1].weights
     rows = np.column_stack([weights, net.layers[-1].bias]).tolist()
     repeats = [row in rows[:k] for k, row in enumerate(rows)]
-    crossings = [[] for _ in segs]
-    for start in range(0, len(segs), SEGMENTS):
-        group = segs[start:start + SEGMENTS]
+    crossings, segs = [], iter(segs)
+    while group := list(islice(segs, SEGMENTS)):
+        start, found = len(crossings), [[] for _ in group]
         x1, x2 = np.array([seg.x1 for seg in group]), np.array([seg.x2 for seg in group])
         lo, hi = np.array([[seg.alpha_min, seg.alpha_max] for seg in group], dtype=np.float64).T
         sg = np.arange(len(group))  # each cell's segment in the group
@@ -193,8 +197,8 @@ def count_crossings(net, segs):
             cells.append((sg[i], lo[i], hi[i], tops[i], k, g_lo[i, k], g_hi[i, k]))
             done = ~open_.any(axis=1)
             ends = done & (np.argmax(np.where(repeats, -np.inf, z_hi), axis=1) != tops)
-            for s, alpha in zip((start + sg[ends]).tolist(), hi[ends].tolist()):
-                crossings[s].append(alpha)
+            for s, alpha in zip(sg[ends].tolist(), hi[ends].tolist()):
+                found[s].append(alpha)
             split = ~done & ~one
             sg, lo, hi, z_lo, z_hi = sg[split], lo[split], hi[split], z_lo[split], z_hi[split]
             if not len(lo) or np.bincount(sg).max() > CHUNK_ROWS // 2:
@@ -211,9 +215,10 @@ def count_crossings(net, segs):
         def gap(alpha, rows):
             z, r = _logits_at(net, x1[on[rows]], x2[on[rows]], alpha), np.arange(len(rows))
             return z[r, c[rows]] - z[r, k[rows]]
-        for s, alpha in zip((start + on).tolist(), bracketed_roots(gap, a, b, g_a, g_b).tolist()):
-            crossings[s].append(alpha)
-    return [sorted(alphas) for alphas in crossings]
+        for s, alpha in zip(on.tolist(), bracketed_roots(gap, a, b, g_a, g_b).tolist()):
+            found[s].append(alpha)
+        crossings += [sorted(alphas) for alphas in found]
+    return crossings
 
 
 def sample_line(net, seg, score_tol=SCORE_TOL, include=()):
@@ -241,9 +246,6 @@ def sample_line(net, seg, score_tol=SCORE_TOL, include=()):
         alphas[[0, -1]] = edges[[0, -1]]
     alphas = np.union1d(alphas, [a for a in include if seg.alpha_min <= a <= seg.alpha_max])
     logits = _logits_at(net, seg.x1, seg.x2, alphas)
-    # rows at alpha 0 and 1 are redone alone: batched BLAS may round unlike forward()
-    for t in np.nonzero((alphas == 0.0) | (alphas == 1.0))[0]:
-        logits[t] = forward_batch(net, seg.at(alphas[t])[None, :])[0][0]
     return PathProfile(alphas=alphas, softmax_scores=softmax_rows(logits), logits=logits,
                        crossings=count_crossings(net, [seg])[0], capped=capped)
 

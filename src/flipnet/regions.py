@@ -45,7 +45,7 @@ def build_adjacency(net, points, class_id):
     n = points.shape[0]
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     apart = [(u, v) for u, v in pairs if not np.array_equal(points[u], points[v])]
-    found = count_crossings(net, [LineSegment(points[u], points[v]) for u, v in apart])
+    found = count_crossings(net, (LineSegment(points[u], points[v]) for u, v in apart))
     crossed = {pair for pair, alphas in zip(apart, found) if alphas}
     return AdjacencyGraph(n_nodes=n, edges=[pair for pair in pairs if pair not in crossed])
 

@@ -16,7 +16,7 @@ from flipnet import (
 )
 from flipnet import attacks, network
 from flipnet.attacks import _project_ball
-from flipnet.errors import InvalidParameterError
+from flipnet.errors import InvalidParameterError, ShapeError
 from conftest import make_linear_net, make_random_net
 
 
@@ -222,8 +222,8 @@ class TestBatchedAttacks:
                   for x, t, cfg in zip(queries, targets, cfgs)]
         for a, b in zip(batched, single):
             assert a.succeeded == b.succeeded
-            assert a.final_loss == pytest.approx(b.final_loss, rel=1e-10, abs=0)
-            assert np.linalg.norm(a.point - b.point) <= 1e-9
+            assert a.final_loss == b.final_loss
+            assert np.array_equal(a.point, b.point)
 
 
 class TestProjectBall:
@@ -274,7 +274,7 @@ class TestCompareAttackVsFlip:
         fake_attack.point = flip.point
         fake_attack.distance = flip.distance
         fake_attack.succeeded = True
-        comp = compare_attack_vs_flip(net, x, fake_attack, flip)
+        comp, = compare_attack_vs_flip(net, [x], [fake_attack], [flip])
         # arccos conditioning near 1 limits the achievable zero
         assert comp.angle_deg == pytest.approx(0.0, abs=1e-4)
         assert comp.attack_distance == comp.flip_distance
@@ -288,7 +288,7 @@ class TestCompareAttackVsFlip:
             net, x, 1 - pred, AttackConfig(epsilon=4.0 * flip.distance, steps=500)
         )
         assert res.succeeded
-        comp = compare_attack_vs_flip(net, x, res, flip)
+        comp, = compare_attack_vs_flip(net, [x], [res], [flip])
         assert comp.segment_first_crossing_distance == pytest.approx(flip.distance, abs=1e-6)
         assert comp.segment_first_crossing_distance <= comp.attack_distance + 1e-9
 
@@ -301,7 +301,30 @@ class TestCompareAttackVsFlip:
         fake_attack.point = x.copy()
         fake_attack.distance = 0.0
         fake_attack.succeeded = False
-        comp = compare_attack_vs_flip(net, x, fake_attack, flip)
+        comp, = compare_attack_vs_flip(net, [x], [fake_attack], [flip])
         assert np.isnan(comp.segment_first_crossing_distance)
         assert comp.flip_distance == flip.distance
+
+    def test_stack_matches_one_attack_calls(self, rng):
+        # one call over failed, zero-length and successful attacks gives
+        # each row its one-attack comparison, bit for bit
+        net = make_random_net(rng, [3, 12, 2], scale=1.5)
+        X = rng.uniform(-1, 1, (6, 3))
+        targets = [1 - _current_class(net, x) for x in X]
+        flips = [closest_flip(net, x, (1 - t, t), SolveOptions(restarts=0))
+                 for x, t in zip(X, targets)]
+        cfgs = [AttackConfig(epsilon=[0.05, 1.0, 3.0][q % 3], steps=50) for q in range(6)]
+        results = constrained_loss_attacks(net, X, np.array(targets), cfgs)
+        results[0].succeeded, results[0].distance, results[0].point = True, 0.0, X[0]
+        assert any(res.succeeded for res in results[1:])
+        stacked = compare_attack_vs_flip(net, X, results, flips)
+        for x, res, flip, comp in zip(X, results, flips, stacked):
+            one, = compare_attack_vs_flip(net, [x], [res], [flip])
+            assert (np.array([one.flip_distance, one.attack_distance,
+                              one.segment_first_crossing_distance, one.angle_deg]).tobytes()
+                    == np.array([comp.flip_distance, comp.attack_distance,
+                                 comp.segment_first_crossing_distance, comp.angle_deg]).tobytes())
+        assert np.isnan(stacked[0].segment_first_crossing_distance)
+        with pytest.raises(ShapeError):
+            compare_attack_vs_flip(net, X, results[:5], flips)
 

@@ -334,13 +334,13 @@ class TestBatchedSolve:
             one = compare(net, x, pair, opts)
             assert one.flip.status == m.flip.status
             assert one.flip.class_pair == m.flip.class_pair == pair
-            assert one.flip.distance == pytest.approx(m.flip.distance, rel=1e-9, abs=0)
-            assert (np.isnan(one.beta) and np.isnan(m.beta)
-                    or one.beta == pytest.approx(m.beta, rel=1e-9, abs=0))
+            assert np.array_equal(one.flip.point, m.flip.point)
+            assert one.flip.distance == m.flip.distance
+            assert np.isnan(one.beta) and np.isnan(m.beta) or one.beta == m.beta
 
     def test_rows_split_into_chunks(self, rng, monkeypatch):
         # rows past CHUNK_ROWS go to further iterate arrays; each row's
-        # answer is the same to rounding
+        # answer is the same, bit for bit
         net = make_random_net(rng, [3, 8, 2], scale=1.0)
         X = rng.standard_normal((5, 3))
         opts = SolveOptions(restarts=2)
@@ -351,7 +351,8 @@ class TestBatchedSolve:
         assert stats.rows >= 15
         for a, b in zip(whole, chunked):
             assert a.status == b.status
-            assert a.distance == pytest.approx(b.distance, rel=1e-9, abs=0)
+            assert np.array_equal(a.point, b.point)
+            assert a.distance == b.distance
 
     def test_backtrack_accepts_or_cuts_each_row_in_a_search(self):
         # rows: Armijo holds; the quadratic's minimizer (0.25) lies in

@@ -18,7 +18,7 @@ from flipnet import (
     vjp,
 )
 from flipnet.errors import FormatError, InvalidInputError, InvalidParameterError, ShapeError
-from flipnet.network import activation_erf_deriv, backward, row_norms
+from flipnet.network import TILE, activation_erf_deriv, backward, row_norms, rows_product
 from conftest import make_random_net
 
 
@@ -71,6 +71,22 @@ class TestRowNorms:
         for d in (1, 3, 8, 17, 200, 4096):
             D = rng.standard_normal((40, d)) * rng.uniform(1e-3, 1e3, (40, 1))
             assert row_norms(D).tolist() == [np.linalg.norm(row) for row in D]
+
+
+class TestRowsProduct:
+    def test_each_row_is_its_product_alone(self, rng):
+        # any count, position or memory layout of the rows gives a row the
+        # bytes it gets alone, and the whole is A @ B to rounding
+        for k, m in ((3, 5), (200, 512), (512, 2)):
+            B = rng.standard_normal((m, k)).T
+            for n in (0, 1, TILE - 1, TILE, TILE + 1, 3 * TILE + 5):
+                A = rng.standard_normal((n, k))
+                P = rows_product(A, B)
+                assert P.shape == (n, m)
+                np.testing.assert_allclose(P, A @ B, rtol=1e-12, atol=1e-12)
+                assert np.array_equal(rows_product(np.asfortranarray(A), B), P)
+                for r in range(0, n, 7):
+                    assert np.array_equal(rows_product(A[r:r + 1], B)[0], P[r])
 
 
 class TestForward:
@@ -175,8 +191,7 @@ class TestVjp:
         G = vjp(net, forward_batch(net, X)[1], C)
         assert G.shape == (6, 4)
         for r in range(6):
-            np.testing.assert_allclose(G[r], grad_scalar_wrt_input(net, X[r], C[r]),
-                                       rtol=1e-12, atol=1e-14)
+            assert np.array_equal(G[r], grad_scalar_wrt_input(net, X[r], C[r]))
 
     def test_finite_difference(self, rng):
         for _ in range(5):

@@ -98,6 +98,7 @@ class TestBuildAdjacency:
         calls = []
 
         def recorded(net, segs):
+            segs = list(segs)
             calls.append(len(segs))
             return count_crossings(net, segs)
 
