@@ -465,40 +465,34 @@ def _augmented_lagrangian_solve(net, X, starts, pairs, stats=None):
 
 
 def closest_flips(net, X, pairs, opts=None, stats=None):
-    """closest_flip for each row of X with its pair, in one batched solve.
+    """Closest point where logits i and j tie and neither is dominated,
+    for each row of X with its pair, in one batched solve.
 
-    Every (query, start) pair is a row of the solver; a query already on
-    the boundary is its own flip point and gets no rows. stats, a
+    Each query is started at itself and, with opts.restarts, from
+    Gaussian perturbations at radii {0.01, 0.1} * max(1, ||x||); every
+    (query, start) pair is a row of the solver, a query already on the
+    boundary included. Each query keeps the first of its results that
+    ranks lowest by `rank`: the nearest converged one, else the
+    non-converged iterate with the smallest equality residual. stats, a
     SolverStats, accumulates the solver's work.
     """
     opts = opts or SolveOptions()
     X, I, J = _queries(net, X, pairs)
-    Z = forward_batch(net, X)[0]
-    eq, margin = _residuals(Z, I, J)
-    solve = ~((eq == 0.0) & (margin >= 0.0))
 
     # every query draws the same perturbations, from a generator seeded alike
     noise = np.random.default_rng(opts.seed).standard_normal((opts.restarts, X.shape[1]))
     radii = np.array([0.01, 0.1])[np.arange(opts.restarts) // 2 % 2, None]
-    S = X[solve, None]
-    scale = np.maximum(row_norms(X[solve]), 1.0)[:, None, None]
-    starts = np.concatenate([S, S + (scale * radii) * noise], axis=1).reshape(-1, X.shape[1])
+    scale = np.maximum(row_norms(X), 1.0)[:, None, None]
+    starts = np.concatenate([X[:, None], X[:, None] + (scale * radii) * noise], axis=1)
 
-    m, rows = 1 + opts.restarts, np.repeat(np.flatnonzero(solve), 1 + opts.restarts)
-    solved = _augmented_lagrangian_solve(net, X[rows], starts, np.column_stack([I, J])[rows], stats)
-    best = iter(min(solved[k:k + m], key=rank) for k in range(0, len(solved), m))
-    on_boundary = iter(_make_results(X[~solve], X[~solve], I[~solve], J[~solve], Z[~solve]))
-    return [next(best) if s else next(on_boundary) for s in solve]
+    m, rows = 1 + opts.restarts, np.repeat(np.arange(len(X)), 1 + opts.restarts)
+    solved = _augmented_lagrangian_solve(net, X[rows], starts.reshape(-1, X.shape[1]),
+                                         np.column_stack([I, J])[rows], stats)
+    return [min(solved[k:k + m], key=rank) for k in range(0, len(solved), m)]
 
 
 def closest_flip(net, x, pair, opts=None):
-    """Closest point where logits i and j tie and neither is dominated.
-
-    Started at the query itself; optional multi-start from Gaussian
-    perturbations at radii {0.01, 0.1} * ||x||. Keeps the first result
-    that ranks lowest by `rank`: the nearest converged one, else the
-    non-converged iterate with the smallest equality residual.
-    """
+    """closest_flips for one query x and its pair."""
     return closest_flips(net, [x], [pair], opts)[0]
 
 
@@ -618,12 +612,17 @@ def _metrics(x, flip, tay, directional):
 
 
 def comparisons(net, X, pairs, opts=None, stats=None):
-    """compare() for each row of X with its pair, batched.
+    """Closest flip vs Taylor baseline vs directional search, for each row
+    of X with its pair, batched.
 
     One forward pass and one VJP give every Taylor estimate, and
-    closest_flips solves every (query, start) in one call. The queries
-    whose directional point ranks ahead of their solver result are then
-    re-seeded from it in one more batched solve. stats, a SolverStats,
+    closest_flips solves every (query, start) in one call. A query whose
+    directional point ranks ahead of its solver result (by `rank`) is
+    re-seeded from it, all such queries in one more batched solve, and
+    keeps the first of the three that ranks lowest, so directional_ratio
+    >= 1 whenever both converged. On a logit plateau, where the Taylor
+    estimate is undefined, the solver runs once and beta,
+    directional_ratio and angle_deg are NaN. stats, a SolverStats,
     accumulates the work of both solves.
     """
     X, I, J = _queries(net, X, pairs)
@@ -644,15 +643,7 @@ def comparisons(net, X, pairs, opts=None, stats=None):
 
 
 def compare(net, x, pair, opts=None):
-    """Closest flip vs Taylor baseline vs directional search.
-
-    If the directional point ranks ahead of the solver's result (by
-    `rank`), the solver is re-seeded from it and the first of the three
-    that ranks lowest is kept, so directional_ratio >= 1 whenever both
-    converged. On a logit plateau, where the Taylor estimate is
-    undefined, the solver runs once and beta, directional_ratio and
-    angle_deg are NaN.
-    """
+    """comparisons for one query x and its pair."""
     return comparisons(net, [x], [pair], opts)[0]
 
 

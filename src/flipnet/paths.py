@@ -12,8 +12,7 @@ import numpy as np
 from scipy.optimize.elementwise import find_root
 
 from .errors import FlipnetError, InvalidInputError, InvalidParameterError, ShapeError
-from .network import (activation_erf, activation_erf_deriv, forward_batch, rows_product,
-                      softmax_rows, spectral_norm)
+from .network import activation_erf, activation_erf_deriv, forward_batch, rows_product, softmax_rows
 
 SAMPLE_CAP = 1_000_000
 CELLS = 64  # equal alpha cells, each with its own slope bound
@@ -80,7 +79,7 @@ def _interval_affine(weights, bias, lo, hi):
 def _input_slopes(net, x1, step, seg, lo, hi):
     """Intervals [d_lo, d_hi] ([cells, n_in]) on d/dalpha of the last layer's input
     on cells [lo, hi] of the segments from rows x1 along rows step (cell c
-    on segment seg[c]), and a spectral-norm chain bound on its 2-norm.
+    on segment seg[c]).
 
     Interval bound propagation (Gowal et al., 2018) of (preactivation y,
     dy/dalpha); y is affine in alpha at layer 1. A unit's erf slope on
@@ -91,7 +90,7 @@ def _input_slopes(net, x1, step, seg, lo, hi):
     slopes cancel.
     """
     if len(net.layers) == 1:
-        return step[seg], step[seg], np.linalg.norm(step, axis=1)[seg]
+        return step[seg], step[seg]
     # a stacked matmul rounds each segment's product as W @ step alone does
     first = net.layers[0]
     slope = np.matmul(first.weights, step[:, :, None])[seg, :, 0]
@@ -99,32 +98,25 @@ def _input_slopes(net, x1, step, seg, lo, hi):
     y_lo, y_hi = offset + lo[:, None] * slope, offset + hi[:, None] * slope
     y_lo, y_hi = np.minimum(y_lo, y_hi), np.maximum(y_lo, y_hi)
     d_lo = d_hi = slope
-    norm = None  # spectral-norm chain on the 2-norm of the activations' slopes
     for layer, nxt in zip(net.layers, net.layers[1:]):
         s_max = activation_erf_deriv(np.clip(0.0, y_lo, y_hi), layer.sigma)
         s_min = activation_erf_deriv(np.maximum(-y_lo, y_hi), layer.sigma)
         d_lo = np.where(d_lo < 0, s_max, s_min) * d_lo
         d_hi = np.where(d_hi > 0, s_max, s_min) * d_hi
-        if norm is None:
-            norm = np.linalg.norm(np.maximum(-d_lo, d_hi), axis=1)
-        else:
-            norm = activation_erf_deriv(0.0, layer.sigma) * norm
         if nxt is net.layers[-1]:
-            return d_lo, d_hi, norm
-        norm = spectral_norm(nxt.weights) * norm
+            return d_lo, d_hi
         d_lo, d_hi = _interval_affine(nxt.weights, 0.0, d_lo, d_hi)
         y_lo, y_hi = _interval_affine(nxt.weights, nxt.bias, activation_erf(y_lo, layer.sigma),
                                       activation_erf(y_hi, layer.sigma))
 
 
 def _cell_slopes(net, seg, edges):
-    """Upper bounds on ||dz/dalpha||_2 on each cell [edges[c], edges[c + 1]], at most
-    lipschitz_bound(net) * ||x2 - x1||: _input_slopes through the last layer."""
-    last = net.layers[-1].weights
-    d_lo, d_hi, norm = _input_slopes(net, seg.x1[None], (seg.x2 - seg.x1)[None],
-                                     np.zeros(len(edges) - 1, int), edges[:-1], edges[1:])
-    d_lo, d_hi = _interval_affine(last, 0.0, d_lo, d_hi)
-    return np.minimum(spectral_norm(last) * norm, np.linalg.norm(np.maximum(-d_lo, d_hi), axis=1))
+    """Upper bounds on ||dz/dalpha||_2 on each cell [edges[c], edges[c + 1]]:
+    _input_slopes' intervals through the last layer's |W|."""
+    d_lo, d_hi = _input_slopes(net, seg.x1[None], (seg.x2 - seg.x1)[None],
+                               np.zeros(len(edges) - 1, int), edges[:-1], edges[1:])
+    d_lo, d_hi = _interval_affine(net.layers[-1].weights, 0.0, d_lo, d_hi)
+    return np.linalg.norm(np.maximum(-d_lo, d_hi), axis=1)
 
 
 def bracketed_roots(gap, lo, hi, g_lo, g_hi):
@@ -175,7 +167,7 @@ def count_crossings(net, segs):
             tops, cell = np.argmax(np.where(repeats, -np.inf, z_lo), axis=1), np.arange(len(lo))
             g_lo, g_hi = (end[cell, tops][:, None] - end for end in (z_lo, z_hi))
             # slope of g_k through the row difference W_c - W_k, so equal rows give [0, 0]
-            d_lo, d_hi, _ = _input_slopes(net, x1, x2 - x1, sg, lo, hi)
+            d_lo, d_hi = _input_slopes(net, x1, x2 - x1, sg, lo, hi)
             s_lo, s_hi = np.empty((2, len(lo), net.class_count))
             for k, row in enumerate(weights):
                 diff = weights[tops] - row

@@ -6,6 +6,7 @@ graph's connectivity is the evidence for connected / star-shaped
 decision regions.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,9 +34,18 @@ class RegionReport:
     edges: list = field(default_factory=list)
 
 
+def _check_class(net, class_id):
+    """InvalidParameterError unless class_id is an integer class id of net."""
+    if (isinstance(class_id, bool) or not isinstance(class_id, numbers.Integral)
+            or not 0 <= class_id < net.class_count):
+        raise InvalidParameterError(
+            f"class_id must be an integer in [0, {net.class_count}), got {class_id!r}")
+
+
 def build_adjacency(net, points, class_id):
     """Edge (u, v) iff the segment between points u and v has no crossing;
     equal points are joined, their segment being a single point."""
+    _check_class(net, class_id)
     points = np.asarray(points, dtype=np.float64)
     logits, _ = forward_batch(net, points)
     preds = np.argmax(logits, axis=1)
@@ -70,6 +80,7 @@ def region_report(net, features, labels, class_id, max_points=0, seed=0):
     """
     check_count("max_points", max_points, 0)
     check_count("seed", seed, 0)
+    _check_class(net, class_id)
     if max_points == 1:
         raise InvalidParameterError(f"max_points must be 0 or >= 2, got {max_points}")
     features = np.asarray(features, dtype=np.float64)

@@ -256,9 +256,8 @@ def test_criterion_06_directional_ratio():
     for _ in range(25):
         dim = int(rng.integers(2, 5))
         net = make_random_net(rng, [dim, 6, 2], scale=1.0)
-        for _ in range(20):
-            x = rng.uniform(-1.5, 1.5, dim)
-            m = compare(net, x, (0, 1), opts)
+        X = np.array([rng.uniform(-1.5, 1.5, dim) for _ in range(20)])
+        for m in comparisons(net, X, [(0, 1)] * len(X), opts):
             if m.flip.converged and np.isfinite(m.directional_ratio):
                 ratios.append(m.directional_ratio)
                 if m.directional_ratio < 1 - 1e-9:

@@ -3,8 +3,8 @@
 Each query, attack or segment is solved alone and inside larger batches,
 with 1, TILE - 1 and TILE + 1 other rows and the row at the start, in the
 middle or at the end, and the answers must be the same bytes. The nets
-are curved, with a hidden layer of at least TILE units: one random, one
-small net trained long.
+are curved, with hidden layers of at least TILE units: a random net with
+one hidden layer, a random net with two, and a small net trained long.
 """
 
 import numpy as np
@@ -20,13 +20,15 @@ SUBJECTS = 3  # rows solved alone and inside every batch
 OTHERS = (1, TILE - 1, TILE + 1)
 
 
-@pytest.fixture(scope="module", params=["random", "trained"])
+@pytest.fixture(scope="module", params=["random", "deep", "trained"])
 def curved(request):
     """(net, pool of SUBJECTS + TILE + 1 input rows)."""
     rng = np.random.default_rng(26)
     pool = rng.standard_normal((SUBJECTS + TILE + 1, 6))
     if request.param == "random":
         return make_random_net(rng, [6, 80, 3], scale=1.0), pool
+    if request.param == "deep":
+        return make_random_net(rng, [6, 40, 40, 3], scale=1.0), pool
     # two classes split by a wavy surface, fitted for 300 epochs without dropout
     X = rng.standard_normal((512, 6))
     y = (np.sin(2.0 * X[:, 0]) + X[:, 1] * X[:, 2] > 0.3 * X[:, 3]).astype(np.int64)

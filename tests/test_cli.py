@@ -636,6 +636,8 @@ class TestOptionValues:
         ("attack", ["--epsilons=nan"]),
         ("attack", ["--epsilons", "0"]),
         ("regions", ["--max-points", 1]),
+        ("regions", ["--class-id", 7]),
+        ("regions", ["--class-id", -1]),
         ("train", ["--learning-rate=nan"]),
         ("train", ["--learning-rate=inf"]),
     ])

@@ -15,7 +15,7 @@ from flipnet import (
     profile_to_flip,
     sample_line,
 )
-from flipnet import paths
+from flipnet import network, paths
 from flipnet.errors import FlipnetError, InvalidInputError, InvalidParameterError, ShapeError
 from flipnet.network import activation_erf_deriv, lipschitz_bound, logits_batch, spectral_norm
 from flipnet.paths import _cell_slopes, _input_slopes, bracketed_roots
@@ -154,6 +154,19 @@ class TestSampleLine:
                 dz = np.linalg.norm(np.diff(profile.logits, axis=0), axis=1)
                 assert np.all(dz <= tol * (1 + 1e-9))
                 assert len(profile.crossings) == dense_crossing_count(net, x1, x2)
+
+    def test_no_spectral_norm_on_deep_net(self, rng, monkeypatch):
+        # interval bounds alone space the samples and certify the crossings
+        def fail(weights):
+            raise AssertionError("spectral_norm called")
+        monkeypatch.setattr(paths, "spectral_norm", fail, raising=False)
+        monkeypatch.setattr(network, "spectral_norm", fail)
+        net = make_random_net(rng, [3, 6, 5, 4, 2], scale=1.5)
+        segs = [LineSegment(rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 3), -0.5, 1.5)
+                for _ in range(5)]
+        profile = sample_line(net, segs[0])
+        assert len(profile.alphas) > 2
+        assert count_crossings(net, segs)[0] == profile.crossings
 
     @pytest.mark.parametrize("dims", [[3, 2], [3, 6, 2], [3, 6, 5, 2], [3, 6, 5, 4, 2]])
     def test_cell_bounds_cover_finite_differences(self, rng, dims):

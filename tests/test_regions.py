@@ -207,6 +207,18 @@ class TestRegionReport:
         with pytest.raises(InvalidParameterError):
             region_report(net, pts, np.ones(3, dtype=int), 1, max_points=max_points)
 
+    @pytest.mark.parametrize("class_id", [-1, 2, 7, 1.0, True])
+    def test_class_id_not_of_the_model(self, class_id):
+        # a bump net has classes 0 and 1; the labels carry the bad id too,
+        # so only the model's class count can reject it
+        net = make_bump_net(width=1.0, sharpness=0.1)
+        pts = np.array([[3.0, 0.0], [2.5, 1.0], [2.0, -1.0]])
+        labels = np.full(3, class_id)
+        with pytest.raises(InvalidParameterError, match=r"\[0, 2\)"):
+            region_report(net, pts, labels, class_id)
+        with pytest.raises(InvalidParameterError, match=r"\[0, 2\)"):
+            build_adjacency(net, pts, class_id)
+
     def test_max_points_zero_keeps_every_point(self):
         net = make_bump_net(width=1.0, sharpness=0.1)
         rng = np.random.default_rng(0)
