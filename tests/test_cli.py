@@ -636,10 +636,10 @@ class TestOptionValues:
         ("attack", ["--epsilons=nan"]),
         ("attack", ["--epsilons", "0"]),
         ("regions", ["--max-points", 1]),
-        ("regions", ["--class-id", 7]),
-        ("regions", ["--class-id", -1]),
         ("train", ["--learning-rate=nan"]),
         ("train", ["--learning-rate=inf"]),
+        ("regions", ["--class-id", 7]),
+        ("regions", ["--class-id", -1]),
     ])
     def test_out_of_contract_number(self, data_dir, trained_dir, tmp_path, capsys,
                                     command, flags):
