@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, ShapeError, check_count
+from .errors import ShapeError, check_classes, check_count, check_positive
 from .flips import angle_degrees
 from .network import cross_entropy, forward_batch, row_norms, softmax_rows, vjp
 from .paths import LineSegment, count_crossings
@@ -31,8 +31,7 @@ class AttackConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.epsilon < math.inf:
-            raise InvalidParameterError(f"epsilon must be positive and finite, got {self.epsilon}")
+        check_positive("epsilon", self.epsilon)
         check_count("steps", self.steps, 1)
         check_count("restarts", self.restarts, 0)
         check_count("seed", self.seed, 0)
@@ -143,17 +142,10 @@ def constrained_loss_attacks(net, X, targets, cfgs, record_iterates=False):
     iterates, run after run, for feasibility auditing.
     """
     X = np.asarray(X, dtype=np.float64)
-    targets = np.asarray(targets)
-    if X.ndim != 2 or targets.shape != (len(X),) or len(cfgs) != len(X):
+    if X.ndim != 2 or np.shape(targets) != (len(X),) or len(cfgs) != len(X):
         raise ShapeError(f"expected X [n, d] with n targets and configs, got {X.shape}, "
-                         f"{targets.shape} and {len(cfgs)}")
-    if targets.size and targets.dtype.kind not in "iu":
-        raise InvalidParameterError(f"targets must be integer class ids, got {targets}")
-    for target in targets:
-        if not 0 <= target < net.class_count:
-            raise InvalidParameterError(
-                f"target {target} out of range [0, {net.class_count})"
-            )
+                         f"{np.shape(targets)} and {len(cfgs)}")
+    targets = check_classes("targets", targets, net.class_count)
     if not len(X):
         return []
     # rows first[i]:first[i + 1] are attack i's runs, its query first

@@ -1,6 +1,9 @@
-"""Exception types shared across the package, and the check on counts."""
+"""Exception types shared across the package, and the checks on its inputs."""
 
 import numbers
+import reprlib
+
+import numpy as np
 
 
 class FlipnetError(Exception):
@@ -22,8 +25,27 @@ def check_count(name, value, minimum):
         raise InvalidParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def check_positive(name, value):
+    """Raise InvalidParameterError unless value, a number or an array, is
+    positive and finite."""
+    if not np.all(np.less(0, value) & np.less(value, np.inf)):
+        raise InvalidParameterError(f"{name} must be positive and finite, got {value}")
+
+
 class InvalidInputError(FlipnetError):
     """Input data violates a precondition (non-finite, wrong class, ...)."""
+
+
+def check_classes(name, ids, class_count, error=InvalidParameterError):
+    """ids as an int64 array; raise error unless every id is an integer (a
+    bool is not) in [0, class_count). numpy reads a bool among integers
+    as 0 or 1, so the items of a sequence are tested one by one."""
+    array = np.asarray(ids)
+    items = () if isinstance(ids, np.ndarray) else np.asarray(ids, dtype=object).flat
+    if array.size and (array.dtype.kind not in "iu" or np.any((array < 0) | (array >= class_count))
+                       or any(isinstance(v, (bool, np.bool_)) for v in items)):
+        raise error(f"{name} must be class ids in [0, {class_count}), got {reprlib.repr(ids)}")
+    return array.astype(np.int64)
 
 
 class FormatError(FlipnetError):

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, InvalidInputError, InvalidParameterError, ShapeError, check_count
+from .errors import (FormatError, InvalidInputError, InvalidParameterError, ShapeError,
+                     check_classes, check_count)
 
 IMAGE_SHAPE = (32, 32, 3)
 PADDED_SHAPE = (32, 32, 4)
@@ -254,11 +255,9 @@ def load_cifar_batch(raw, keep_classes=(0, 8)):
     row-major). Pixels are scaled to [0, 1]. Returns (images [n,32,32,3],
     labels [n] in {0, 1}) with label 0 for keep_classes[0].
     """
-    if len(keep_classes) != 2 or keep_classes[0] == keep_classes[1]:
+    keep = check_classes("keep_classes", keep_classes, 10)
+    if keep.shape != (2,) or keep[0] == keep[1]:
         raise InvalidParameterError(f"keep_classes must be two distinct ids, got {keep_classes}")
-    for c in keep_classes:
-        if not 0 <= c <= 9:
-            raise InvalidParameterError(f"CIFAR-10 label id out of range: {c}")
     raw = bytes(raw)
     if len(raw) % CIFAR_RECORD_BYTES != 0:
         raise FormatError(
@@ -267,10 +266,10 @@ def load_cifar_batch(raw, keep_classes=(0, 8)):
     n_rec = len(raw) // CIFAR_RECORD_BYTES
     data = np.frombuffer(raw, dtype=np.uint8).reshape(n_rec, CIFAR_RECORD_BYTES)
     labels_raw = data[:, 0]
-    mask = (labels_raw == keep_classes[0]) | (labels_raw == keep_classes[1])
+    mask = (labels_raw == keep[0]) | (labels_raw == keep[1])
     kept = data[mask]
     # channel-planar -> [n, 32, 32, 3]
     pixels = kept[:, 1:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1)
     images = pixels.astype(np.float64) / 255.0
-    labels = (kept[:, 0] == keep_classes[1]).astype(np.int64)
+    labels = (kept[:, 0] == keep[1]).astype(np.int64)
     return images, labels

@@ -21,7 +21,8 @@ import numpy as np
 # minimize is unused here: perfbench/spans.py wraps this name until benchmark v2
 from scipy.optimize import minimize  # noqa: F401
 
-from .errors import DegenerateGradientError, InvalidParameterError, ShapeError, check_count
+from .errors import (DegenerateGradientError, InvalidParameterError, ShapeError, check_classes,
+                     check_count, check_positive)
 from .features import haar3d_inverse, scatter_selector
 from .network import forward_batch, row_norms, softmax_rows, vjp
 from .paths import bracketed_roots
@@ -117,25 +118,23 @@ def _residuals(Z, I, J):
 
 
 def _queries(net, X, pairs):
-    """(X, I, J): X as a float [n, d] array with one class pair per row,
-    each pair two class ids, else ShapeError; the pairs as class ids I, J,
-    each pair two distinct integer classes of net, else
-    InvalidParameterError."""
+    """(X, I, J): X as a float [n, d] array with one class pair per row, each
+    pair two class ids, else ShapeError; the pairs as int64 arrays I, J of
+    two distinct classes of net per row, else InvalidParameterError."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or len(pairs) != len(X):
         raise ShapeError(f"expected X [n, d] with n class pairs, got {X.shape} and "
                          f"{len(pairs)} pairs")
     try:
-        ids = np.array(pairs).reshape(len(pairs), 2)
+        ids = check_classes("class pairs", pairs, net.class_count).reshape(len(pairs), 2)
     except ValueError:
         raise ShapeError(f"expected each of the {len(pairs)} class pairs to be two "
                          "class ids") from None
-    bad = ((ids.dtype.kind not in "iu") | (ids[:, 0] == ids[:, 1])
-           | np.any((ids < 0) | (ids >= net.class_count), axis=1))
-    if bad.any():
-        raise InvalidParameterError(f"invalid class pair {tuple(ids[bad][0].tolist())}: "
-                                    f"need two distinct integer classes of {net.class_count}")
-    return X, *ids.astype(np.int64).T
+    same = ids[:, 0] == ids[:, 1]
+    if same.any():
+        raise InvalidParameterError(f"class pair {tuple(ids[same][0].tolist())} "
+                                    "must be two distinct classes")
+    return X, *ids.T
 
 
 def _gaps_and_grads(net, P, I, J):
@@ -547,8 +546,7 @@ def flip_along_directions(net, X, D, pairs, t_max=None):
     if t_max.shape not in ((), (len(X),)):
         raise ShapeError(f"expected one t_max or {len(X)}, got shape {t_max.shape}")
     t_max = np.broadcast_to(t_max, len(X))
-    if not np.all((0 < t_max) & (t_max < math.inf)):
-        raise InvalidParameterError(f"t_max must be positive and finite, got {t_max}")
+    check_positive("t_max", t_max)
     T, Z, failed = _first_crossings(net, X, D, I, J, t_max)
     results = _make_results(X, X + T[:, None] * D, I, J, Z)
     for result, t in zip(compress(results, failed), T[failed].tolist()):

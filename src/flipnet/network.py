@@ -8,14 +8,14 @@ and the Lipschitz upper bound for the logit map all live here, together
 with the binary checkpoint format.
 """
 
-import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf as _erf
 
-from .errors import InvalidInputError, InvalidParameterError, ShapeError, FormatError
+from .errors import (InvalidInputError, InvalidParameterError, ShapeError, FormatError,
+                     check_classes, check_positive)
 
 _TWO_OVER_SQRT_PI = 2.0 / np.sqrt(np.pi)
 TILE = 32  # rows per BLAS call of rows_product; of 32, 64 and 128, the fastest on flip
@@ -56,8 +56,7 @@ class Layer:
             raise ShapeError(
                 f"bias length {self.bias.shape[0]} != weight rows {self.weights.shape[0]}"
             )
-        if not 0 < self.sigma < math.inf:
-            raise InvalidParameterError(f"sigma must be positive and finite, got {self.sigma}")
+        check_positive("sigma", self.sigma)
         if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
             raise InvalidInputError("layer weights and bias must be finite")
 
@@ -142,9 +141,8 @@ def rows_product(A, B):
 def cross_entropy(softmax, labels):
     """-log(softmax[r, labels[r]]) for each row r, clamped at 1e-300; a
     single row [class_count] and one label give a scalar."""
-    softmax, labels = np.asarray(softmax, dtype=np.float64), np.asarray(labels)
-    if np.any((labels < 0) | (labels >= softmax.shape[-1])):
-        raise InvalidParameterError(f"labels must lie in [0, {softmax.shape[-1]})")
+    softmax = np.asarray(softmax, dtype=np.float64)
+    labels = check_classes("labels", labels, softmax.shape[-1])
     p = np.take_along_axis(softmax, labels[..., None], axis=-1)[..., 0]
     return -np.log(np.maximum(p, 1e-300))
 

@@ -11,7 +11,7 @@ from itertools import islice
 import numpy as np
 from scipy.optimize.elementwise import find_root
 
-from .errors import FlipnetError, InvalidInputError, InvalidParameterError, ShapeError
+from .errors import FlipnetError, InvalidInputError, ShapeError, check_positive
 from .network import activation_erf, activation_erf_deriv, forward_batch, rows_product, softmax_rows
 
 SAMPLE_CAP = 1_000_000
@@ -223,8 +223,7 @@ def sample_line(net, seg, score_tol=SCORE_TOL, include=()):
     are not uniform. Past SAMPLE_CAP samples the grid is uniform and
     the profile is capped. Alphas in `include` are added.
     """
-    if not 0.0 < score_tol < np.inf:
-        raise InvalidParameterError(f"score_tol must be positive and finite, got {score_tol}")
+    check_positive("score_tol", score_tol)
     edges = np.linspace(seg.alpha_min, seg.alpha_max, CELLS + 1)
     F = np.concatenate([[0.0], np.cumsum(_cell_slopes(net, seg, edges) * np.diff(edges))])
     count = max(np.ceil(F[-1] / score_tol) + 1, 2)

@@ -6,13 +6,12 @@ graph's connectivity is the evidence for connected / star-shaped
 decision regions.
 """
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import coo_matrix, csgraph
 
-from .errors import InvalidInputError, InvalidParameterError, check_count
+from .errors import InvalidInputError, InvalidParameterError, check_classes, check_count
 from .network import forward_batch
 from .paths import LineSegment, count_crossings
 
@@ -34,18 +33,10 @@ class RegionReport:
     edges: list = field(default_factory=list)
 
 
-def _check_class(net, class_id):
-    """InvalidParameterError unless class_id is an integer class id of net."""
-    if (isinstance(class_id, bool) or not isinstance(class_id, numbers.Integral)
-            or not 0 <= class_id < net.class_count):
-        raise InvalidParameterError(
-            f"class_id must be an integer in [0, {net.class_count}), got {class_id!r}")
-
-
 def build_adjacency(net, points, class_id):
     """Edge (u, v) iff the segment between points u and v has no crossing;
     equal points are joined, their segment being a single point."""
-    _check_class(net, class_id)
+    check_classes("class_id", class_id, net.class_count)
     points = np.asarray(points, dtype=np.float64)
     logits, _ = forward_batch(net, points)
     preds = np.argmax(logits, axis=1)
@@ -80,12 +71,14 @@ def region_report(net, features, labels, class_id, max_points=0, seed=0):
     """
     check_count("max_points", max_points, 0)
     check_count("seed", seed, 0)
-    _check_class(net, class_id)
+    check_classes("class_id", class_id, net.class_count)
     if max_points == 1:
         raise InvalidParameterError(f"max_points must be 0 or >= 2, got {max_points}")
     features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = check_classes("labels", labels, net.class_count, InvalidInputError)
     logits, _ = forward_batch(net, features)
+    if labels.shape != (len(features),):
+        raise InvalidInputError(f"expected {len(features)} labels, one per row, got {labels.shape}")
     preds = np.argmax(logits, axis=1)
     keep = np.nonzero((preds == class_id) & (labels == class_id))[0]
     if 0 < max_points < keep.size:

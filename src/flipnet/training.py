@@ -4,13 +4,12 @@ All randomness (weight init, shuffles, dropout masks) is driven by the
 config seed, so identical configs reproduce bit-identical networks.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (InvalidInputError, InvalidParameterError, ShapeError, TrainingDivergedError,
-                     check_count)
+                     check_classes, check_count, check_positive)
 from .network import Layer, Network, backward, cross_entropy, forward_batch, softmax_rows
 
 SIGMA_FLOOR = 1e-3
@@ -28,9 +27,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.learning_rate < math.inf:
-            raise InvalidParameterError(
-                f"learning_rate must be positive and finite, got {self.learning_rate}")
+        check_positive("learning_rate", self.learning_rate)
         if not 0.0 <= self.dropout_rate < 1.0:
             raise InvalidParameterError("dropout_rate must be in [0, 1)")
         check_count("epochs", self.epochs, 0)
@@ -84,18 +81,17 @@ def _loss_and_grads(net, X, y, dropout_rate, rng):
 def _checked_split(net, name, features, labels):
     """(features, labels) as float [n, input_dim] and int [n] arrays of
     finite rows and integer classes of net; checked before the first epoch."""
-    features, labels = np.asarray(features, dtype=np.float64), np.asarray(labels)
+    features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != net.input_dim:
         raise ShapeError(f"{name} features must be [n, {net.input_dim}], got {features.shape}")
     if len(features) == 0:
         raise InvalidInputError(f"{name} set is empty")
+    labels = check_classes(f"{name} labels", labels, net.class_count, InvalidInputError)
     if labels.shape != (len(features),):
         raise InvalidInputError(f"{name} feature/label counts differ")
-    if labels.dtype.kind not in "iu" or np.any((labels < 0) | (labels >= net.class_count)):
-        raise InvalidInputError(f"{name} labels must be integer classes in [0, {net.class_count})")
     if not np.all(np.isfinite(features)):
         raise InvalidInputError(f"{name} features must be finite")
-    return features, labels.astype(np.int64)
+    return features, labels
 
 
 def train(net, features, labels, cfg, test_features=None, test_labels=None):

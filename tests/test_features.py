@@ -388,3 +388,10 @@ class TestCifarLoader:
     def test_bad_keep_label(self):
         with pytest.raises(InvalidParameterError):
             load_cifar_batch(b"", (0, 12))
+
+    @pytest.mark.parametrize("keep", [(0, 8.5), (True, 8)])
+    def test_keep_label_not_an_integer(self, keep):
+        # (0, 8.5) used to keep only the 0s, and (True, 8) only the 8s, as label 1
+        stream = self._record(0, 1) + self._record(8, 2)
+        with pytest.raises(InvalidParameterError):
+            load_cifar_batch(stream, keep)

@@ -625,7 +625,7 @@ class TestClassPair:
             net, X, [pair[0]], [AttackConfig(0.1, steps=2)]),
     }
 
-    @pytest.mark.parametrize("pair", [(0.5, 1), (np.float64(1.0), 0), (1.5, 0)])
+    @pytest.mark.parametrize("pair", [(0.5, 1), (np.float64(1.0), 0), (1.5, 0), (True, 0)])
     @pytest.mark.parametrize("entry", sorted(NON_INTEGER_ENTRY_POINTS))
     def test_every_entry_point_rejects_non_integer_class_id(self, rng, entry, pair):
         # truncated, each pair would name two valid classes and be solved

@@ -219,6 +219,17 @@ class TestRegionReport:
         with pytest.raises(InvalidParameterError, match=r"\[0, 2\)"):
             build_adjacency(net, pts, class_id)
 
+    @pytest.mark.parametrize("labels", ["halves", "one short", "one label"])
+    def test_labels_not_one_class_id_per_row(self, rng, labels):
+        # a label of class + 0.5 used to be truncated to the class, and a
+        # single label was broadcast to every row
+        net = make_linear_net(rng, 3)
+        X = rng.standard_normal((20, 3))
+        y = np.argmax(logits_batch(net, X), axis=1)
+        bad = {"halves": y + 0.5, "one short": y[:-1], "one label": y[:1]}[labels]
+        with pytest.raises(InvalidInputError):
+            region_report(net, X, bad, int(y[0]))
+
     def test_max_points_zero_keeps_every_point(self):
         net = make_bump_net(width=1.0, sharpness=0.1)
         rng = np.random.default_rng(0)

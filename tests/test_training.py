@@ -35,6 +35,12 @@ class TestCrossEntropy:
         with pytest.raises(InvalidParameterError):
             cross_entropy(np.array([0.5, 0.5]), 2)
 
+    @pytest.mark.parametrize("labels", [1.0, True, [0.0, 1.0]])
+    def test_label_not_an_integer(self, labels):
+        # a float label used to reach numpy's IndexError
+        with pytest.raises(InvalidParameterError):
+            cross_entropy(np.full((2, 2), 0.5), labels)
+
     def test_rows_match_single_rows(self, rng):
         softmax = softmax_rows(rng.standard_normal((5, 3)))
         labels = np.array([0, 2, 1, 1, 0])
