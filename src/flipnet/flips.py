@@ -15,14 +15,13 @@ comparison metrics live here too.
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 # minimize is unused here: perfbench/spans.py wraps this name until benchmark v2
 from scipy.optimize import minimize  # noqa: F401
 
-from .errors import (DegenerateGradientError, InvalidParameterError, ShapeError, check_classes,
-                     check_count, check_positive)
+from .errors import (DegenerateGradientError, InvalidInputError, InvalidParameterError, ShapeError,
+                     check_classes, check_count, check_positive)
 from .features import haar3d_inverse, scatter_selector
 from .network import forward_batch, row_norms, softmax_rows, vjp
 from .paths import bracketed_roots
@@ -147,15 +146,17 @@ def _gaps_and_grads(net, P, I, J):
     return z[r, I] - z[r, J], vjp(net, tape, coeffs)
 
 
-def _make_results(X, P, I, J, Z):
+def _make_results(X, P, I, J, Z, failed=False, T=0.0):
     """FlipResults at the rows of P (logits Z) for queries X and pairs (I, J):
+    bracket-failed at distance T where the mask `failed` is set, else
     converged where the equality residual is at most EQUALITY_TOL and the
     dominance margin at least -DOMINANCE_TOL."""
     eq, margin = _residuals(Z, I, J)
     converged = (eq <= EQUALITY_TOL) & (margin >= -DOMINANCE_TOL)
-    return [FlipResult(p, d, (i, j), e, m, STATUS_CONVERGED if ok else STATUS_LOCAL)
-            for p, d, i, j, e, m, ok in zip(P, row_norms(P - X).tolist(), I.tolist(), J.tolist(),
-                                             eq.tolist(), margin.tolist(), converged)]
+    status = np.select([failed, converged], [STATUS_BRACKET_FAILED, STATUS_CONVERGED], STATUS_LOCAL)
+    distance = np.where(failed, T, row_norms(P - X))
+    return [FlipResult(*result) for result in zip(P, distance.tolist(), zip(I.tolist(), J.tolist()),
+                                                  eq.tolist(), margin.tolist(), status.tolist())]
 
 
 def _tangent_polish(net, X, P, I, J, iters=30):
@@ -537,6 +538,8 @@ def flip_along_directions(net, X, D, pairs, t_max=None):
     D = np.asarray(D, dtype=np.float64)
     if D.shape != X.shape:
         raise ShapeError(f"expected one direction per query, got {D.shape} for {X.shape}")
+    if not np.all(np.isfinite(D)):
+        raise InvalidInputError("directions must be finite")
     norm = np.linalg.norm(D, axis=1)
     if not norm.all():
         raise InvalidParameterError("direction must be nonzero")
@@ -548,10 +551,7 @@ def flip_along_directions(net, X, D, pairs, t_max=None):
     t_max = np.broadcast_to(t_max, len(X))
     check_positive("t_max", t_max)
     T, Z, failed = _first_crossings(net, X, D, I, J, t_max)
-    results = _make_results(X, X + T[:, None] * D, I, J, Z)
-    for result, t in zip(compress(results, failed), T[failed].tolist()):
-        result.distance, result.status = t, STATUS_BRACKET_FAILED
-    return results
+    return _make_results(X, X + T[:, None] * D, I, J, Z, failed, T)
 
 
 def flip_along_direction(net, x, direction, pair, t_max=None):

@@ -37,11 +37,10 @@ class LineSegment:
             raise ShapeError(f"segment endpoints must be 1-D, got {self.x1.shape}, {self.x2.shape}")
         if self.x1.shape != self.x2.shape:
             raise InvalidInputError("segment endpoints must have the same shape")
+        if not np.isfinite(np.hstack([self.x1, self.x2, self.alpha_min, self.alpha_max])).all():
+            raise InvalidInputError("segment endpoints, alpha_min and alpha_max must be finite")
         if np.array_equal(self.x1, self.x2):
             raise InvalidInputError("segment endpoints must differ")
-        if not (np.isfinite(self.alpha_min) and np.isfinite(self.alpha_max)):
-            raise InvalidInputError(
-                f"alpha_min and alpha_max must be finite, got {self.alpha_min}, {self.alpha_max}")
         if not self.alpha_min < self.alpha_max:
             raise InvalidInputError("alpha_min must be < alpha_max")
 
@@ -157,6 +156,8 @@ def count_crossings(net, segs):
     crossings, segs = [], iter(segs)
     while group := list(islice(segs, SEGMENTS)):
         start, found = len(crossings), [[] for _ in group]
+        if wrong := [k for k, seg in enumerate(group) if seg.x1.shape != (net.input_dim,)]:
+            raise ShapeError(f"segment {start + wrong[0]} is not {net.input_dim} coordinates wide")
         x1, x2 = np.array([seg.x1 for seg in group]), np.array([seg.x2 for seg in group])
         lo, hi = np.array([[seg.alpha_min, seg.alpha_max] for seg in group], dtype=np.float64).T
         sg = np.arange(len(group))  # each cell's segment in the group
@@ -224,6 +225,7 @@ def sample_line(net, seg, score_tol=SCORE_TOL, include=()):
     the profile is capped. Alphas in `include` are added.
     """
     check_positive("score_tol", score_tol)
+    crossings = count_crossings(net, [seg])[0]  # and checks the segment's width first
     edges = np.linspace(seg.alpha_min, seg.alpha_max, CELLS + 1)
     F = np.concatenate([[0.0], np.cumsum(_cell_slopes(net, seg, edges) * np.diff(edges))])
     count = max(np.ceil(F[-1] / score_tol) + 1, 2)
@@ -238,7 +240,7 @@ def sample_line(net, seg, score_tol=SCORE_TOL, include=()):
     alphas = np.union1d(alphas, [a for a in include if seg.alpha_min <= a <= seg.alpha_max])
     logits = _logits_at(net, seg.x1, seg.x2, alphas)
     return PathProfile(alphas=alphas, softmax_scores=softmax_rows(logits), logits=logits,
-                       crossings=count_crossings(net, [seg])[0], capped=capped)
+                       crossings=crossings, capped=capped)
 
 
 def profile_to_flip(net, x, flip):

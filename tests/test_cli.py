@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import os
 import re
 import shlex
@@ -746,3 +747,15 @@ def test_tracer_installs(tmp_path):
         [sys.executable, "perfbench/spans.py", str(tmp_path / "s.json"), "--help"],
         cwd=root, env={**os.environ, "PYTHONPATH": "src"}, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_every_traced_name_exists():
+    # read in-process, without Recorder.install(), which would rewrap
+    # flipnet's module globals for the rest of the session
+    spec = importlib.util.spec_from_file_location(
+        "spans", Path(__file__).resolve().parent.parent / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [f"{layer}.{name}" for layer, names in spans.WRAPPED.items() for name in names
+               if not callable(getattr(importlib.import_module(f"flipnet.{layer}"), name, None))]
+    assert spans.WRAPPED and not missing

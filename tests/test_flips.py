@@ -17,7 +17,7 @@ from flipnet import (
     taylor_estimate,
 )
 from flipnet import flips
-from flipnet.errors import DegenerateGradientError, InvalidParameterError, ShapeError
+from flipnet.errors import DegenerateGradientError, InvalidInputError, InvalidParameterError, ShapeError
 from flipnet.features import COEFF_COUNT, CoefficientSelector
 from flipnet.flips import STATUS_BRACKET_FAILED, angle_degrees
 from flipnet.network import logits_batch, softmax_rows
@@ -592,6 +592,13 @@ class TestFlipAlongDirection:
         net = make_linear_net(rng, 3)
         with pytest.raises(InvalidParameterError):
             flip_along_direction(net, np.zeros(3), np.zeros(3), (0, 1))
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_direction(self, rng, value):
+        # an infinite direction used to fail in its normalization, with a RuntimeWarning
+        net = make_linear_net(rng, 3)
+        with pytest.raises(InvalidInputError):
+            flip_along_direction(net, np.zeros(3), np.array([value, 0.0, 0.0]), (0, 1))
 
 
 class TestClassPair:

@@ -69,6 +69,23 @@ class TestSampleLine:
         with pytest.raises(InvalidInputError):
             LineSegment(rng.standard_normal(3), rng.standard_normal(3), **{bound: value})
 
+    @pytest.mark.parametrize("end", [0, 1])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_endpoint_rejected(self, rng, end, value):
+        # an infinite endpoint used to reach sample_line's bounds and fail
+        # there with a RuntimeWarning and numpy's ValueError
+        ends = rng.standard_normal((2, 3))
+        ends[end, 1] = value
+        with pytest.raises(InvalidInputError):
+            LineSegment(*ends)
+
+    def test_segment_of_wrong_width(self, rng, monkeypatch):
+        # rejected before any slope bound is computed
+        net = make_random_net(rng, [3, 4, 2])
+        monkeypatch.setattr(paths, "_input_slopes", None)
+        with pytest.raises(ShapeError, match="segment 0 "):
+            sample_line(net, LineSegment(rng.standard_normal(4), rng.standard_normal(4)))
+
     def test_zero_net_uniform_no_crossings(self, rng):
         net = Network([Layer(np.zeros((2, 3)), np.zeros(2), 1.0)])
         seg = LineSegment(rng.standard_normal(3), rng.standard_normal(3))
@@ -229,6 +246,13 @@ class TestSampleLine:
 
 
 class TestCountCrossings:
+    def test_segments_of_different_widths(self, rng):
+        # used to fail on stacking the endpoints, with numpy's ValueError
+        net = make_random_net(rng, [3, 4, 2])
+        segs = [LineSegment(rng.standard_normal(d), rng.standard_normal(d)) for d in (3, 4)]
+        with pytest.raises(ShapeError, match="segment 1 "):
+            count_crossings(net, segs)
+
     def test_rejects_endpoints_not_1d(self, rng):
         # a stack of endpoints used to fail deep inside the bisection
         net = make_linear_net(rng, 3)
