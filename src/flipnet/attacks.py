@@ -44,7 +44,6 @@ class AttackResult:
     predicted_class: int
     succeeded: bool
     final_loss: float
-    iterates: np.ndarray = None  # [(1 + restarts) * (steps + 1), dim] when recorded
 
 
 @dataclass
@@ -95,31 +94,30 @@ def _starts(x, cfg):
     return np.vstack([x, _project_ball(x, P, cfg.epsilon)])
 
 
-def _pgd_rows(net, X, P, targets, epsilon, steps, trace):
+def _pgd_rows(net, X, P, targets, epsilon, steps):
     """PGD from the rows of P, each in its own ball (row of X, epsilon).
 
-    Returns each row's best iterate by target-label loss (strict < in
-    step order), that loss and the logits there. It costs steps + 1
-    forward passes and steps reverse sweeps however many rows there
-    are: the last iterate needs only its loss. With trace a list, each
-    post-projection iterate array is appended to it.
+    Row r takes steps[r] steps: the loop runs to the largest count and a
+    row's best iterate by target-label loss (strict < in step order),
+    that loss and the logits there stop changing after its own count.
+    It costs max(steps) + 1 forward passes and max(steps) reverse sweeps
+    however many rows there are: the last iterate needs only its loss.
     """
     ar = np.arange(len(P))
     step_length = epsilon[:, None] / 50.0
     best_P = np.empty_like(P)
     best_loss = np.full(len(P), math.inf)
     best_Z = np.empty((len(P), net.class_count))
-    for step in range(steps + 1):
-        if trace is not None:
-            trace.append(P)
+    last = steps.max()
+    for step in range(last + 1):
         Z, tape = forward_batch(net, P)
         softmax = softmax_rows(Z)
         loss = cross_entropy(softmax, targets)
-        better = loss < best_loss
+        better = (loss < best_loss) & (step <= steps)
         best_loss[better] = loss[better]
         best_P[better] = P[better]
         best_Z[better] = Z[better]
-        if step == steps:
+        if step == last:
             break
         # d(-log softmax_t)/d logits = softmax - onehot; pull back to input
         softmax[ar, targets] -= 1.0
@@ -127,19 +125,18 @@ def _pgd_rows(net, X, P, targets, epsilon, steps, trace):
     return best_P, best_loss, best_Z
 
 
-def constrained_loss_attacks(net, X, targets, cfgs, record_iterates=False):
+def constrained_loss_attacks(net, X, targets, cfgs):
     """PGD on target-label losses inside L2 balls, for many attacks at once.
 
     Attack i runs from row X[i] towards class targets[i] with cfgs[i]:
     one run from the query and cfgs[i].restarts runs from random points
-    in the ball, with gradient steps of epsilon / 50. Every run is one
-    row of an iterate array, and a step is one forward pass and one
-    reverse sweep over all rows (CHUNK_ROWS at a time, grouped by step
-    count). Each attack returns the best iterate by loss over its runs
-    (the first of equal losses); success means its argmax equals the
-    target. Failure is a valid outcome (infeasible constraint). With
-    record_iterates each result keeps its runs' post-projection
-    iterates, run after run, for feasibility auditing.
+    in the ball, with gradient steps of epsilon / 50 and cfgs[i].steps
+    steps, so a call's attacks may differ in step count. Every run is
+    one row of an iterate array, and a step is one forward pass and one
+    reverse sweep over all rows, CHUNK_ROWS consecutive rows at a time.
+    Each attack returns the best iterate by loss over its runs (the
+    first of equal losses); success means its argmax equals the target.
+    Failure is a valid outcome (infeasible constraint).
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or np.shape(targets) != (len(X),) or len(cfgs) != len(X):
@@ -157,18 +154,10 @@ def constrained_loss_attacks(net, X, targets, cfgs, record_iterates=False):
     best_P = np.empty_like(starts)
     best_loss = np.empty(len(starts))
     best_Z = np.empty((len(starts), net.class_count))
-    traces = [None] * len(starts)
-    for n_steps in np.unique(steps):
-        group = np.flatnonzero(steps == n_steps)
-        for lo in range(0, len(group), CHUNK_ROWS):
-            rows = group[lo:lo + CHUNK_ROWS]
-            trace = [] if record_iterates else None
-            best_P[rows], best_loss[rows], best_Z[rows] = _pgd_rows(
-                net, X[owner[rows]], starts[rows], targets[owner[rows]], eps[rows],
-                int(n_steps), trace)
-            if record_iterates:
-                for row, row_trace in zip(rows, np.stack(trace, axis=1)):
-                    traces[row] = row_trace
+    for lo in range(0, len(starts), CHUNK_ROWS):
+        rows = slice(lo, lo + CHUNK_ROWS)
+        best_P[rows], best_loss[rows], best_Z[rows] = _pgd_rows(
+            net, X[owner[rows]], starts[rows], targets[owner[rows]], eps[rows], steps[rows])
     results = []
     for i, (x, target) in enumerate(zip(X, targets)):
         best = first[i] + int(np.argmin(best_loss[first[i]:first[i + 1]]))
@@ -179,17 +168,15 @@ def constrained_loss_attacks(net, X, targets, cfgs, record_iterates=False):
             predicted_class=pred,
             succeeded=bool(pred == target),
             final_loss=float(best_loss[best]),
-            iterates=(np.concatenate(traces[first[i]:first[i + 1]])
-                      if record_iterates else None),
         ))
     return results
 
 
-def constrained_loss_attack(net, x, target, cfg, record_iterates=False):
+def constrained_loss_attack(net, x, target, cfg):
     """constrained_loss_attacks for one query: PGD on the target-label
     loss inside the L2 ball of radius cfg.epsilon around x."""
     x = np.asarray(x, dtype=np.float64)
-    return constrained_loss_attacks(net, x[None, :], [target], [cfg], record_iterates)[0]
+    return constrained_loss_attacks(net, x[None, :], [target], [cfg])[0]
 
 
 def compare_attack_vs_flip(net, X, attacks, flips):

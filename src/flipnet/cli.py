@@ -272,6 +272,9 @@ def _paired_test_coeffs(X, count, sel, data_dir, keep):
     Feature row q must be the selected coefficients of test image q;
     a features file from another split or selector fails here.
     """
+    if X.shape[1] != len(sel.indices):
+        raise InvalidInputError(f"features have {X.shape[1]} columns but the selector "
+                                f"keeps {len(sel.indices)} coefficients")
     images, _ = _load_batch(os.path.join(data_dir, "test_batch.bin"), keep)
     if len(images) < count:
         raise InvalidInputError(
@@ -386,8 +389,7 @@ def cmd_attack(args):
     X, y = _load_features_csv(_require(args.features, "flipnet prepare"))
     count = _query_count(args.count, X.shape[0])
     # row q * len(epsilons) + e of attacks.csv attacks query q at epsilons[e]
-    cfgs = [attacks.AttackConfig(epsilon=eps, seed=derived_seed(args.seed, f"attack:{q}"))
-            for q in range(count) for eps in args.epsilons]
+    cfgs = [attacks.AttackConfig(epsilon=eps) for _ in range(count) for eps in args.epsilons]
     opts = flips.SolveOptions(restarts=args.restarts,
                               seed=derived_seed(args.seed, "attack"))
     os.makedirs(args.out_dir, exist_ok=True)

@@ -34,7 +34,8 @@ def activation_erf_deriv(y, sigma):
     """d/dy erf(y / sigma) = 2 / (sigma * sqrt(pi)) * exp(-(y / sigma)^2), and
     exactly 0 where (y / sigma)^2 >= 708, so exp makes no subnormals."""
     u2 = np.asarray(y / sigma)  # squared, negated and exponentiated in place
-    u2 *= u2
+    with np.errstate(over="ignore"):  # an overflow to inf saturates, as below
+        u2 *= u2
     u2[u2 >= 708.0] = np.inf
     return (_TWO_OVER_SQRT_PI / sigma) * np.exp(np.negative(u2, out=u2), out=u2)
 
@@ -52,6 +53,8 @@ class Layer:
         self.bias = np.asarray(self.bias, dtype=np.float64)
         if self.weights.ndim != 2 or self.bias.ndim != 1:
             raise ShapeError("weights must be 2-D and bias 1-D")
+        if 0 in self.weights.shape:
+            raise ShapeError(f"a layer needs rows and columns, got weights {self.weights.shape}")
         if self.weights.shape[0] != self.bias.shape[0]:
             raise ShapeError(
                 f"bias length {self.bias.shape[0]} != weight rows {self.weights.shape[0]}"

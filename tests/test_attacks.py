@@ -179,32 +179,50 @@ class TestBatchedAttacks:
                 for q in range(len(X)) for eps in self.RADII]
         return net, queries, targets, cfgs
 
-    def test_batch_equals_single_row_loop(self):
+    @staticmethod
+    def _evaluated_iterates(monkeypatch):
+        """The iterate arrays PGD passes to forward_batch, in call order:
+        the starts, then every post-projection iterate."""
+        evaluated, forward_batch = [], attacks.forward_batch
+
+        def recording(net, P):
+            evaluated.append(P.copy())
+            return forward_batch(net, P)
+
+        monkeypatch.setattr(attacks, "forward_batch", recording)
+        return evaluated
+
+    def test_batch_equals_single_row_loop(self, monkeypatch):
         rng = np.random.default_rng(2024)
+        evaluated = self._evaluated_iterates(monkeypatch)
         flag_mismatches = 0
         for _ in range(60):
             net, queries, targets, cfgs = self._runs(rng, restarts=0, steps=200)
-            results = constrained_loss_attacks(net, queries, targets, cfgs,
-                                               record_iterates=True)
-            for x, target, cfg, res in zip(queries, targets, cfgs, results):
+            evaluated.clear()
+            results = constrained_loss_attacks(net, queries, targets, cfgs)
+            runs = np.stack(evaluated, axis=1)  # [attack, iterate, dim]: one run each
+            for x, target, cfg, res, run in zip(queries, targets, cfgs, results, runs):
                 point, loss, succeeded, _ = _reference_attack(net, x, target, cfg)
                 flag_mismatches += res.succeeded != succeeded
                 assert res.final_loss == pytest.approx(loss, rel=1e-10, abs=0)
                 assert np.linalg.norm(res.point - point) <= 1e-6 * cfg.epsilon
                 assert res.distance == np.linalg.norm(res.point - x) <= cfg.epsilon
-                assert res.iterates.shape == (cfg.steps + 1, len(x))
-                assert all(np.linalg.norm(it - x) <= cfg.epsilon for it in res.iterates)
+                assert run.shape == (cfg.steps + 1, len(x))
+                assert all(np.linalg.norm(it - x) <= cfg.epsilon for it in run)
         assert flag_mismatches == 0
 
-    def test_restart_starts_are_the_single_row_draws(self):
+    def test_restart_starts_are_the_single_row_draws(self, monkeypatch):
         rng = np.random.default_rng(77)
+        evaluated = self._evaluated_iterates(monkeypatch)
         for _ in range(10):
             net, queries, targets, cfgs = self._runs(rng, restarts=2, steps=30)
-            results = constrained_loss_attacks(net, queries, targets, cfgs,
-                                               record_iterates=True)
-            for x, target, cfg, res in zip(queries, targets, cfgs, results):
+            evaluated.clear()
+            results = constrained_loss_attacks(net, queries, targets, cfgs)
+            assert len(evaluated) == 30 + 1
+            # [attack, run, iterate, dim]: each attack's runs are consecutive rows
+            attack_runs = np.stack(evaluated, axis=1).reshape(len(cfgs), 3, 30 + 1, -1)
+            for x, target, cfg, res, runs in zip(queries, targets, cfgs, results, attack_runs):
                 point, loss, succeeded, starts = _reference_attack(net, x, target, cfg)
-                runs = res.iterates.reshape(1 + cfg.restarts, cfg.steps + 1, len(x))
                 for run, start in zip(runs, starts):
                     assert np.array_equal(run[0], start)
                     assert all(np.linalg.norm(it - x) <= cfg.epsilon for it in run)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flipnet import (Layer, Network, SolveOptions, flips, haar3d_forward, load_checkpoint,
+from flipnet import (Layer, Network, SolveOptions, cli, flips, haar3d_forward, load_checkpoint,
                      load_cifar_batch, paths, save_checkpoint)
 from flipnet.cli import build_parser, derived_seed, main, read_config, write_csv
 from flipnet.network import logits_batch
@@ -80,6 +80,28 @@ class TestPipeline:
                     "--data-dir", data_dir, "--out-dir", tmp_path])
         assert code == 1
         assert "kind=InvalidInputError" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "flips.csv")
+
+    @pytest.mark.parametrize("width", [15, 25])
+    def test_flip_rejects_a_selector_of_another_width(self, data_dir, tmp_path, capsys,
+                                                       monkeypatch, width):
+        prepare(data_dir, tmp_path)
+        train(tmp_path)
+        kept = [int(i) for i in (tmp_path / "selector.txt").read_text().split()]
+        others = [i for i in range(4096) if i not in kept]
+        selector = tmp_path / "other_selector.txt"
+        selector.write_text("".join(f"{i}\n" for i in (kept + others)[:width]))
+        loaded = []
+        monkeypatch.setattr(cli, "_load_batch", lambda *args: loaded.append(args))
+        code = run(["flip", "--checkpoint", tmp_path / "checkpoint.bin",
+                    "--features", tmp_path / "test_features.csv",
+                    "--count", 2, "--restarts", 0, "--threads", 1,
+                    "--selector", selector, "--data-dir", data_dir, "--out-dir", tmp_path])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "kind=InvalidInputError" in err
+        assert f"features have 20 columns but the selector keeps {width}" in err
+        assert not loaded  # fails before any image is read
         assert not os.path.exists(tmp_path / "flips.csv")
 
     def test_attack_rejects_non_binary_checkpoint(self, data_dir, tmp_path, capsys):

@@ -16,7 +16,7 @@ def _attack(count, field):
     rng = np.random.default_rng(0)
     net = make_random_net(rng, [3, 4, 2])
     cfg = AttackConfig(0.5, **{field: count})
-    return constrained_loss_attack(net, rng.standard_normal(3), 1, cfg, record_iterates=True)
+    return constrained_loss_attack(net, rng.standard_normal(3), 1, cfg)
 
 
 def _regions(**kwargs):

@@ -18,7 +18,8 @@ from flipnet import (
     vjp,
 )
 from flipnet.errors import FormatError, InvalidInputError, InvalidParameterError, ShapeError
-from flipnet.network import TILE, activation_erf_deriv, backward, row_norms, rows_product
+from flipnet.network import (CHECKPOINT_MAGIC, TILE, activation_erf_deriv, backward, row_norms,
+                             rows_product)
 from conftest import make_random_net
 
 
@@ -55,11 +56,12 @@ class TestActivation:
     def test_deriv_is_zero_on_saturated_units(self):
         # past (y / sigma)^2 = 708, exp(-u^2) would be subnormal or 0
         sigma = 0.7
-        y = sigma * np.array([0.0, 0.5, -3.0, 26.5, -26.6, 26.61, -26.7, 27.0, 40.0, 1e3])
+        # and past |y / sigma| = 1.3e154, where its square overflows to inf
+        y = sigma * np.array([0.0, 0.5, -3.0, 26.5, -26.6, 26.61, -26.7, 27.0, 40.0, 1e3, 1e200])
         d = activation_erf_deriv(y, sigma)
         u = y / sigma
-        live = u * u < 708.0
-        assert live.tolist() == [True] * 5 + [False] * 5
+        live = np.abs(u) < math.sqrt(708.0)
+        assert live.tolist() == [True] * 5 + [False] * 6
         np.testing.assert_array_equal(d[live], 2.0 / math.sqrt(math.pi) / sigma
                                       * np.exp(-u[live] * u[live]))
         assert np.all(d[live] >= np.finfo(float).tiny) and np.all(d[~live] == 0.0)
@@ -333,6 +335,17 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="header truncated"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("dims", [[3, 0, 2], [3, 4, 0], [0, 2]])
+    def test_empty_layer_rejected(self, tmp_path, dims):
+        # header, then zero weights, zero bias and sigma 1 for each layer
+        data = CHECKPOINT_MAGIC + struct.pack(f"<{len(dims) + 2}I", len(dims) - 1, *dims, dims[-1])
+        for n_in, n_out in zip(dims, dims[1:]):
+            data += bytes(8 * (n_out * n_in + n_out)) + struct.pack("<d", 1.0)
+        path = tmp_path / "net.bin"
+        path.write_bytes(data)
+        with pytest.raises(ShapeError, match="rows and columns"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("field, value, error", [
         ("weights", math.nan, InvalidInputError), ("weights", math.inf, InvalidInputError),
         ("bias", -math.inf, InvalidInputError), ("sigma", math.nan, InvalidParameterError),
@@ -376,3 +389,8 @@ class TestValidation:
     def test_bias_mismatch(self):
         with pytest.raises(ShapeError):
             Layer(np.eye(3), np.zeros(2), 1.0)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (4, 0), (0, 0)])
+    def test_empty_weights(self, shape):
+        with pytest.raises(ShapeError, match="rows and columns"):
+            Layer(np.zeros(shape), np.zeros(shape[0]), 1.0)
