@@ -340,7 +340,8 @@ def cmd_flip(args):
               rows)
     write_manifest(args, [out_path], {"converged_fraction": int(converged.sum()) / max(count, 1),
                                       "solver_evaluations": stats.evaluations,
-                                      "solver_rows": stats.rows})
+                                      "solver_rows": stats.rows,
+                                      "solver_projected_rows": stats.projected})
 
 
 def cmd_path(args):

@@ -2,15 +2,20 @@
 
 A flip point for a class pair (i, j) is an input where the two logits
 tie (equivalently the two softmax scores) and no other logit exceeds
-them. The closest flip point is found by an augmented Lagrangian on the
+them. The closest flip point is searched from multiple starts, each a
+row of one iterate array, so each evaluation is one forward pass and
+one VJP over all rows still running. Every row first runs a
+Gauss-Newton projection onto the boundary's linearization, which often
+converges because the boundary is flat in most directions (Fawzi et
+al., arXiv 1705.09552). It finishes the rows that settle on contracting
+steps at a feasible KKT point: contraction there bounds each principal
+curvature of the boundary by 1 / distance, so the point is a strict
+local minimum. The other rows run an augmented Lagrangian on the
 logit-equality constraint with a quadratic penalty on violated
-dominance inequalities, inner solves by L-BFGS, multi-start from
-perturbed seeds, and a final polish: the ray search towards the
-solver's point (a doubling bracket, then Chandrupatla's method), then
-a tangent step. Every (query, start) pair is a row of one iterate
-array, so each objective evaluation is one forward pass and one VJP
-over all rows still running. The first-order Taylor baseline and its
-comparison metrics live here too.
+dominance inequalities, inner solves by L-BFGS. Every row then gets a
+polish: the ray search towards its point (a doubling bracket, then
+Chandrupatla's method), then the projection again. The first-order
+Taylor baseline and its comparison metrics live here too.
 """
 
 import math
@@ -91,8 +96,12 @@ PIXEL_TOL = 1e-6  # a legitimate image's pixels lie in [0, 1] to within this
 class SolverStats:
     """Work of the batched solver, summed over the calls it is passed to."""
 
-    evaluations: int = 0  # batched objective evaluations
+    evaluations: int = 0  # batched evaluations: projection passes and AL objective evaluations
     rows: int = 0  # rows evaluated, summed over those evaluations
+    projected: int = 0  # rows the projection finished, so the AL never ran them
+
+    def count(self, rows):
+        self.evaluations, self.rows = self.evaluations + 1, self.rows + rows
 
 
 @dataclass
@@ -137,13 +146,13 @@ def _queries(net, X, pairs):
 
 
 def _gaps_and_grads(net, P, I, J):
-    """Logit gaps z_i - z_j at the rows of P and their input gradients:
-    one forward pass, one VJP."""
+    """Logits at the rows of P, their gaps z_i - z_j and the gaps' input
+    gradients: one forward pass, one VJP."""
     z, tape = forward_batch(net, P)
     r = np.arange(len(P))
     coeffs = np.zeros((len(P), net.class_count))
     coeffs[r, I], coeffs[r, J] = 1.0, -1.0
-    return z[r, I] - z[r, J], vjp(net, tape, coeffs)
+    return z, z[r, I] - z[r, J], vjp(net, tape, coeffs)
 
 
 def _make_results(X, P, I, J, Z, failed=False, T=0.0):
@@ -159,21 +168,29 @@ def _make_results(X, P, I, J, Z, failed=False, T=0.0):
                                                   eq.tolist(), margin.tolist(), status.tolist())]
 
 
-def _tangent_polish(net, X, P, I, J, iters=30):
-    """Gauss-Newton refinement of the foot of the perpendicular from each row of X.
+def _project(net, X, P, I, J, stats=None, iters=30):
+    """Gauss-Newton projection of the rows of X onto their boundaries from
+    the rows of P (Nocedal and Wright, ch. 10 and 18): (Q, Z, finished),
+    the last iterates, their logits and the rows it solves.
 
-    Repeatedly projects x onto the linearization of the boundary at the
-    current iterate; exact in one step for linear models, and removes
-    the inner solver's tangential drift otherwise. X and P are [n, d]
-    arrays and (I, J) each row's pair; every step is one forward pass
-    and one VJP over the rows still moving, and each row stops on its own.
+    Each step projects x onto the boundary's linearization at the iterate,
+    one forward pass and one VJP over the rows still moving; one more over
+    all rows evaluates the last iterates. A row stops when its step
+    settles (<= 1e-14 max(1, |q|)), when it cannot move, or when its step
+    grows after its second one. It is finished when it settled on a step
+    shorter than its last, on the boundary (equality residual <= 1e-12),
+    feasible, and at a KKT point (x - q parallel to the gap's gradient to
+    1e-10). Exact in one step for linear models.
     """
     Q, live = P.copy(), np.arange(len(P))
-    for _ in range(iters):
+    last, contracted = np.zeros(len(P)), np.zeros(len(P), dtype=bool)
+    for k in range(iters):
         if not live.size:
             break
         q, x_ = Q[live], X[live]
-        g, grad = _gaps_and_grads(net, q, I[live], J[live])
+        _, g, grad = _gaps_and_grads(net, q, I[live], J[live])
+        if stats is not None:
+            stats.count(live.size)
         denom = np.einsum("rd,rd->r", grad, grad)
         with np.errstate(all="ignore"):
             q_new = x_ - ((g + np.einsum("rd,rd->r", grad, x_ - q)) / denom)[:, None] * grad
@@ -181,8 +198,20 @@ def _tangent_polish(net, X, P, I, J, iters=30):
         Q[live[moves]] = q_new[moves]
         step = np.linalg.norm(q_new - q, axis=1)
         settled = step <= 1e-14 * np.maximum(1.0, np.linalg.norm(q_new, axis=1))
-        live = live[moves & ~settled]
-    return Q
+        contracted[live] = settled & (step < last[live])
+        grew = (step > last[live]) & (k >= 2)
+        last[live] = step
+        live = live[moves & ~settled & ~grew]
+    Z, _, grad = _gaps_and_grads(net, Q, I, J)
+    if stats is not None:
+        stats.count(len(Q))
+    eq, margin = _residuals(Z, I, J)
+    d = X - Q
+    with np.errstate(all="ignore"):
+        along = np.einsum("rd,rd->r", d, grad) / np.einsum("rd,rd->r", grad, grad)
+        off = d - along[:, None] * grad
+    kkt = row_norms(off) <= 1e-10 * row_norms(d)
+    return Q, Z, contracted & (eq <= 1e-12) & (margin >= -DOMINANCE_TOL) & kkt
 
 
 def _gaps_and_violations(z, i, j):
@@ -347,8 +376,7 @@ def _al_iterate(net, X, starts, I, J, stats=None):
     while rows.id.size:
         z, f, g = _al_objective(net, rows)
         if stats is not None:
-            stats.evaluations += 1
-            stats.rows += rows.id.size
+            stats.count(rows.id.size)
         gd = (g * rows.d).sum(axis=1)
         stp = rows.stp  # the trial step; _backtrack sets the next one
         accept = _backtrack(rows, f)
@@ -427,9 +455,9 @@ def _polish(net, X, P, Z, I, J):
     farther from x than p itself; the iterate can sit marginally on the
     query side of the boundary, so the search runs a little past p. It
     is kept when it stays feasible and its equality residual is at most
-    p's or EQUALITY_TOL. The tangent polish then removes the inner
-    solver's tangential drift; its point is kept only when it is no
-    farther, stays feasible and stays on the boundary to rounding.
+    p's or EQUALITY_TOL. The projection (30 steps at most) then removes
+    the inner solver's tangential drift; its point is kept only when it is
+    no farther, stays feasible and stays on the boundary to rounding.
     """
     distance, eq = row_norms(P - X), _residuals(Z, I, J)[0]
     rays = np.flatnonzero(distance > 0.0)
@@ -442,8 +470,7 @@ def _polish(net, X, P, Z, I, J):
     P[k], Z[k], eq[k] = x[take] + t[take, None] * d[take], z[take], eq_c[take]
     distance[k] = row_norms(P[k] - X[k])
 
-    Q = _tangent_polish(net, X, P, I, J)
-    Z_q = forward_batch(net, Q)[0]
+    Q, Z_q, _ = _project(net, X, P, I, J)
     eq_q, margin_q = _residuals(Z_q, I, J)
     take = ((margin_q >= -DOMINANCE_TOL) & (eq_q <= np.maximum(eq, 1e-12))
             & (row_norms(Q - X) <= distance + 1e-12))
@@ -452,15 +479,19 @@ def _polish(net, X, P, Z, I, J):
 
 
 def _augmented_lagrangian_solve(net, X, starts, pairs, stats=None):
-    """Polished flip candidates of the solver rows (x, start, pair),
-    CHUNK_ROWS rows per iterate array; X and starts are [n, d] arrays and
-    pairs n pairs of class ids."""
+    """Polished flip candidates of the solver rows (x, start, pair): the
+    projection first, the AL on the rows it does not finish, CHUNK_ROWS
+    rows per iterate array; X and starts are [n, d] arrays, pairs n pairs."""
     I, J = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
     results = []
     for lo in range(0, len(starts), CHUNK_ROWS):
         c = slice(lo, lo + CHUNK_ROWS)
-        P, Z = _al_iterate(net, X[c], starts[c], I[c], J[c], stats)
-        results += _polish(net, X[c], P, Z, I[c], J[c])
+        x, s, i, j = X[c], starts[c], I[c], J[c]
+        P, Z, done = _project(net, x, s, i, j, stats, iters=100)
+        P[~done], Z[~done] = _al_iterate(net, x[~done], s[~done], i[~done], j[~done], stats)
+        if stats is not None:
+            stats.projected += int(done.sum())
+        results += _polish(net, x, P, Z, i, j)
     return results
 
 
@@ -471,10 +502,14 @@ def closest_flips(net, X, pairs, opts=None, stats=None):
     Each query is started at itself and, with opts.restarts, from
     Gaussian perturbations at radii {0.01, 0.1} * max(1, ||x||); every
     (query, start) pair is a row of the solver, a query already on the
-    boundary included. Each query keeps the first of its results that
-    ranks lowest by `rank`: the nearest converged one, else the
-    non-converged iterate with the smallest equality residual. stats, a
-    SolverStats, accumulates the solver's work.
+    boundary included. A row is solved by the projection (see _project)
+    when it settles within 100 steps on a step shorter than its last, on
+    the boundary to 1e-12, feasible and at a KKT point; a row whose step
+    grows after its second one, or that settles without moving, runs the
+    augmented Lagrangian from its own start. Each query keeps the first
+    of its results that ranks lowest by `rank`: the nearest converged
+    one, else the non-converged iterate with the smallest equality
+    residual. stats, a SolverStats, accumulates the solver's work.
     """
     opts = opts or SolveOptions()
     X, I, J = _queries(net, X, pairs)
@@ -562,7 +597,7 @@ def flip_along_direction(net, x, direction, pair, t_max=None):
 def _taylor_estimates(net, X, I, J):
     """TaylorEstimate of each row of X for its pair (I, J), from one
     forward pass and one VJP; None where the gradient is (near) zero."""
-    gaps, grads = _gaps_and_grads(net, X, I, J)
+    _, gaps, grads = _gaps_and_grads(net, X, I, J)
     gnorm = np.linalg.norm(grads, axis=1)
     ok = gnorm >= 1e-14
     sign = np.where(gaps[ok] >= 0, 1.0, -1.0)[:, None]

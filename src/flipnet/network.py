@@ -27,14 +27,15 @@ def activation_erf(y, sigma):
     """erf(y / sigma); odd in y, range (-1, 1)."""
     if sigma <= 0:
         raise InvalidParameterError(f"sigma must be positive, got {sigma}")
-    return _erf(y / sigma)
+    with np.errstate(over="ignore"):  # an overflow to +-inf saturates to +-1
+        return _erf(y / sigma)
 
 
 def activation_erf_deriv(y, sigma):
     """d/dy erf(y / sigma) = 2 / (sigma * sqrt(pi)) * exp(-(y / sigma)^2), and
     exactly 0 where (y / sigma)^2 >= 708, so exp makes no subnormals."""
-    u2 = np.asarray(y / sigma)  # squared, negated and exponentiated in place
     with np.errstate(over="ignore"):  # an overflow to inf saturates, as below
+        u2 = np.asarray(y / sigma)  # squared, negated and exponentiated in place
         u2 *= u2
     u2[u2 >= 708.0] = np.inf
     return (_TWO_OVER_SQRT_PI / sigma) * np.exp(np.negative(u2, out=u2), out=u2)

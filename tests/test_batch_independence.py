@@ -5,6 +5,9 @@ with 1, TILE - 1 and TILE + 1 other rows and the row at the start, in the
 middle or at the end, and the answers must be the same bytes. The nets
 are curved, with hidden layers of at least TILE units: a random net with
 one hidden layer, a random net with two, and a small net trained long.
+On the same nets, a row that the projection finishes has the answer the
+augmented Lagrangian reaches from its start: the solver path a row takes
+does not change its answer either.
 """
 
 import numpy as np
@@ -102,3 +105,53 @@ def test_count_crossings(curved):
     assert_rows_alone_as_in_batches(
         lambda rows: count_crossings(net, [segs[q] for q in rows]), floats)
     assert sum(map(len, count_crossings(net, segs))) > 0
+
+
+def test_projection_finishes_rows_as_the_al_would(curved, monkeypatch):
+    # a row that the projection finishes has the point that _al_iterate
+    # and _polish reach from its start, or, where the AL ends at another
+    # local minimum, a nearer one; only the other rows, with their own
+    # starts, enter the AL. The starts are the solver's own: the queries,
+    # and the directional points that comparisons re-seeds from
+    net, pool = curved
+    pairs = pairs_of(net, pool)
+    tays = flips._taylor_estimates(net, pool, *pairs.T)
+    aimed = [q for q, t in enumerate(tays) if t is not None]
+    rays = flips.flip_along_directions(net, pool[aimed], [tays[q].direction for q in aimed],
+                                       pairs[aimed])
+    hit = [q for q, r in zip(aimed, rays) if r.converged]
+    X, (I, J) = np.concatenate([pool, pool[hit]]), np.concatenate([pairs, pairs[hit]]).T
+    starts = np.concatenate([pool, [r.point for r in rays if r.converged]])
+    project, iterate, seen = flips._project, flips._al_iterate, {}
+
+    def first_pass(*args, **kwargs):
+        out = project(*args, **kwargs)
+        seen.setdefault("finished", out[2])  # the polish's projection comes later
+        return out
+
+    def al(net_, X_, starts_, *rest):
+        seen["al_starts"] = starts_.copy()
+        return iterate(net_, X_, starts_, *rest)
+
+    monkeypatch.setattr(flips, "_project", first_pass)
+    monkeypatch.setattr(flips, "_al_iterate", al)
+    solved = flips._augmented_lagrangian_solve(net, X, starts, np.column_stack([I, J]))
+    monkeypatch.undo()
+    finished = seen["finished"]
+    assert finished.any()
+    assert np.array_equal(seen["al_starts"], starts[~finished])
+    same = 0
+    for k in np.flatnonzero(finished):
+        row = slice(k, k + 1)
+        P, Z = iterate(net, X[row], starts[row], I[row], J[row])
+        want = flips._polish(net, X[row], P, Z, I[row], J[row])[0]
+        assert solved[k].status == want.status == flips.STATUS_CONVERGED
+        if abs(solved[k].distance - want.distance) <= 1e-12 * want.distance:
+            # along the boundary the distance is flat to second order, so
+            # the AL's point is known less closely than its distance
+            assert (np.linalg.norm(solved[k].point - want.point)
+                    <= 1e-10 * np.linalg.norm(want.point))
+            same += 1
+        else:
+            assert solved[k].distance < want.distance
+    assert same >= 0.9 * finished.sum()

@@ -624,6 +624,8 @@ class TestManifest:
         assert 0.0 <= float(manifest["result.converged_fraction"]) <= 1.0
         evaluations = int(manifest["result.solver_evaluations"])
         assert 0 < evaluations <= int(manifest["result.solver_rows"])
+        projected = int(manifest["result.solver_projected_rows"])
+        assert 0 <= projected <= int(manifest["result.solver_rows"])
         assert not any(word in k for k in manifest if k.startswith("config.")
                        for word in ("converged", "solver"))
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.special import erf, erfinv
 
 from flipnet import (
@@ -20,7 +21,7 @@ from flipnet import flips
 from flipnet.errors import DegenerateGradientError, InvalidInputError, InvalidParameterError, ShapeError
 from flipnet.features import COEFF_COUNT, CoefficientSelector
 from flipnet.flips import STATUS_BRACKET_FAILED, angle_degrees
-from flipnet.network import logits_batch, softmax_rows
+from flipnet.network import forward_batch, logits_batch, softmax_rows
 from conftest import grid_oracle_distance, make_linear_net, make_random_net
 
 
@@ -221,38 +222,43 @@ class TestClosestFlip:
         assert abs(z[2] - z[1]) <= 1e-6
 
     def test_one_pass_per_objective_evaluation(self, rng, monkeypatch):
-        # each solver round evaluates every running (query, start) row
-        # with one forward pass and one VJP, and makes no other pass
+        # each round of the projection and of the AL evaluates every
+        # running (query, start) row with one forward pass and one VJP, and
+        # the solve makes no other pass
         counter = PassCounter(monkeypatch)
         passes = []
-        iterate = flips._al_iterate
 
-        def counted(*args):
-            before = (counter.forward, counter.vjp, counter.rows)
-            out = iterate(*args)
-            passes.append((counter.forward - before[0], counter.vjp - before[1],
-                           counter.rows - before[2]))
-            return out
+        def counted(solver):
+            def run(*args, **kwargs):
+                before = (counter.forward, counter.vjp, counter.rows)
+                out = solver(*args, **kwargs)
+                if len(args) == 6:  # given the stats: not the polish's projection
+                    passes.append((counter.forward - before[0], counter.vjp - before[1],
+                                   counter.rows - before[2]))
+                return out
+            return run
 
-        monkeypatch.setattr(flips, "_al_iterate", counted)
+        monkeypatch.setattr(flips, "_project", counted(flips._project))
+        monkeypatch.setattr(flips, "_al_iterate", counted(flips._al_iterate))
         net = make_random_net(rng, [3, 6, 4])
         stats = flips.SolverStats()
         flips.closest_flips(net, rng.standard_normal((3, 3)), [(0, 1), (1, 0), (2, 1)],
                             SolveOptions(restarts=1), stats)
-        assert passes == [(stats.evaluations, stats.evaluations, stats.rows)]
+        assert len(passes) == 2
+        assert tuple(map(sum, zip(*passes))) == (stats.evaluations, stats.evaluations, stats.rows)
         # the first round evaluates all 3 x 2 rows at their starts
         assert stats.evaluations > 1 and stats.rows > 6
 
-    def test_one_pass_per_tangent_polish_iteration(self, rng, monkeypatch):
+    def test_one_pass_per_projection_iteration(self, rng, monkeypatch):
+        # and one more pass evaluates the last iterates
         net = make_random_net(rng, [3, 6, 2])
         x = rng.standard_normal((1, 3))
         p = x + rng.standard_normal((1, 3))
         counter = PassCounter(monkeypatch)
         for iters in (1, 2, 3):
             counter.forward = counter.vjp = 0
-            flips._tangent_polish(net, x, p, np.array([0]), np.array([1]), iters=iters)
-            assert (counter.forward, counter.vjp) == (iters, iters)
-
+            flips._project(net, x, p, np.array([0]), np.array([1]), iters=iters)
+            assert (counter.forward, counter.vjp) == (iters + 1, iters + 1)
 
     def test_residuals_match_one_row_reference(self, rng):
         Z = rng.standard_normal((60, 4)) * rng.uniform(0.1, 30.0, (60, 1))
@@ -274,19 +280,98 @@ class TestClosestFlip:
         u = rng.standard_normal(4)
         u -= (u @ w) / (w @ w) * w  # along the boundary hyperplane
 
-        def solve(stub):
-            monkeypatch.setattr(flips, "_tangent_polish", stub)
+        def solve(move):
+            # the stub finishes no row, so the AL runs every row and the
+            # polish's projection lands at move(x, p)
+            def stub(net, x, p, i, j, stats=None, iters=None):
+                q = move(x, p)
+                return q, forward_batch(net, q)[0], np.zeros(len(q), dtype=bool)
+
+            monkeypatch.setattr(flips, "_project", stub)
             return flips.closest_flips(net, X, [(0, 1)] * 5, SolveOptions(restarts=1))
 
-        unchanged = solve(lambda net, x, p, i, j: np.array(p))
-        for stub in (lambda net, x, p, i, j: p + 0.1 * (x - p),  # nearer, off the boundary
-                     lambda net, x, p, i, j: p + 0.1 * u / np.linalg.norm(u)):  # on it, farther
-            for got, want in zip(solve(stub), unchanged):
+        unchanged = solve(lambda x, p: np.array(p))
+        for move in (lambda x, p: p + 0.1 * (x - p),  # nearer, off the boundary
+                     lambda x, p: p + 0.1 * u / np.linalg.norm(u)):  # on it, farther
+            for got, want in zip(solve(move), unchanged):
                 assert want.converged
                 np.testing.assert_array_equal(got.point, want.point)
                 assert (got.distance, got.class_pair, got.equality_residual, got.dominance_margin,
                         got.status) == (want.distance, want.class_pair, want.equality_residual,
                                         want.dominance_margin, want.status)
+
+
+class TestProjection:
+    """The Gauss-Newton projection finishes a row only at a strict local
+    minimum it converged to by contraction; every other row goes to the AL."""
+
+    @staticmethod
+    def al_starts(monkeypatch):
+        """The starts of every row that enters _al_iterate, as they are recorded."""
+        seen, iterate = [], flips._al_iterate
+
+        def recording(net, X, starts, *rest):
+            seen.extend(starts.copy())
+            return iterate(net, X, starts, *rest)
+
+        monkeypatch.setattr(flips, "_al_iterate", recording)
+        return seen
+
+    def test_finished_rows_are_strict_local_minima(self):
+        # on the tangent space of every row the projection finishes, the
+        # Hessian 2I + lam H of the Lagrangian |p - x|^2 + lam g is positive
+        # definite: H = W1' diag(c erf''(u) / sigma^2) W1 for the gap's output
+        # weights c = w_i - w_j and u = (W1 p + b1) / sigma, dense at this width
+        rng = np.random.default_rng(30)
+        finished = 0
+        for dim in (2, 3, 4) * 2:
+            net = make_random_net(rng, [dim, 8, 2], scale=1.2)
+            X = rng.uniform(-1, 1, (30, dim))
+            Q, _, done = flips._project(net, X, X, np.zeros(30, int), np.ones(30, int), iters=100)
+            hidden, c = net.layers[0], np.array([1.0, -1.0]) @ net.layers[1].weights
+            W, b, sigma = hidden.weights, hidden.bias, hidden.sigma
+            for x, p in zip(X[done], Q[done]):
+                u = (W @ p + b) / sigma
+                slope = 2.0 / np.sqrt(np.pi) * np.exp(-u * u)
+                grad = W.T @ (c * slope / sigma)
+                H = W.T @ ((c * -2.0 * u * slope / sigma ** 2)[:, None] * W)
+                lam = 2.0 * (x - p) @ grad / (grad @ grad)
+                N = scipy.linalg.null_space(grad[None])
+                assert np.linalg.eigvalsh(N.T @ (2.0 * np.eye(dim) + lam * H) @ N).min() > 0.0
+            finished += done.sum()
+        assert finished >= 60
+
+    def test_query_on_the_boundary_goes_to_the_al(self, monkeypatch):
+        # an odd net with no biases ties its logits at the origin: the
+        # projection's first step there is 0, so it shows no contraction
+        rng = np.random.default_rng(4)
+        v = rng.standard_normal(5)
+        net = Network([Layer(rng.standard_normal((5, 3)), np.zeros(5), 1.0),
+                       Layer(np.stack([v, -v]), np.zeros(2), 1.0)])
+        x = np.zeros(3)
+        seen = self.al_starts(monkeypatch)
+        res = closest_flip(net, x, (0, 1), SolveOptions(restarts=2))
+        assert any(np.array_equal(start, x) for start in seen)
+        assert res.converged and res.distance == 0.0
+        np.testing.assert_array_equal(res.point, x)
+
+    def test_growing_steps_go_to_the_al(self, monkeypatch):
+        # the projection's third step from this query is longer than its
+        # second; the steps shrink after that, but the row goes to the AL
+        rng = np.random.default_rng(12)
+        net = make_random_net(rng, [2, 6, 2], scale=1.2)
+        x = rng.uniform(-1, 1, (4, 2))[3]
+        q, steps = x, []
+        for _ in range(5):
+            _, g, grad = flips._gaps_and_grads(net, q[None], [0], [1])
+            q_new = x - (g[0] + grad[0] @ (x - q)) / (grad[0] @ grad[0]) * grad[0]
+            steps.append(np.linalg.norm(q_new - q))
+            q = q_new
+        assert steps[0] > steps[1] < steps[2] > steps[3] > steps[4]
+        seen = self.al_starts(monkeypatch)
+        res = closest_flip(net, x, (0, 1), FAST)
+        assert len(seen) == 1 and np.array_equal(seen[0], x)
+        assert res.converged
 
 
 class TestBatchedSolve:

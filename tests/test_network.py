@@ -66,6 +66,13 @@ class TestActivation:
                                       * np.exp(-u[live] * u[live]))
         assert np.all(d[live] >= np.finfo(float).tiny) and np.all(d[~live] == 0.0)
 
+    def test_tiny_sigma_saturates_without_warning(self):
+        # y / sigma overflows to +-inf for a checkpoint's sigma of 1e-300;
+        # the saturated values are exact, so no overflow warning is raised
+        y = np.array([1e10, -1e10])
+        assert activation_erf(y, 1e-300).tolist() == [1.0, -1.0]
+        assert activation_erf_deriv(y, 1e-300).tolist() == [0.0, 0.0]
+
 
 class TestRowNorms:
     def test_bit_identical_to_one_row_norm(self, rng):
